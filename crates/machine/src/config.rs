@@ -188,8 +188,8 @@ impl MachineGeometry {
 ///
 /// Every policy produces bit-identical results — `tests/sched_equivalence.rs`
 /// asserts it on every platform. `Reference` exists as the oracle for that
-/// proof and for debugging; `Batched` is the serial production hot path;
-/// `Parallel` shards node batches across host worker threads.
+/// proof and for debugging; `Batched` and `Parallel` run one decision
+/// loop, `Parallel` adding fork/join rounds across host worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
     /// Conservative lookahead batching over a laggard min-heap: the

@@ -8,7 +8,7 @@
 //! shared occupancy timelines (MAGIC, banks, links) causally consistent
 //! across nodes.
 //!
-//! Two scheduling policies implement that discipline (see
+//! Two scheduling loops implement that discipline (see
 //! [`SchedPolicy`]): the `Reference` policy re-derives the laggard by
 //! linear scan before every single op, while the default `Batched` policy
 //! keeps node clocks in a [`LaggardHeap`] and lets the popped laggard
@@ -16,8 +16,9 @@
 //! that touches shared state unless the node is still the strict schedule
 //! winner, and bounding private-op overrun by the runner-up's clock plus
 //! the memory model's minimum shared-interaction latency (conservative
-//! lookahead). Every shared interaction therefore happens in exactly the
-//! order the reference policy would produce, and the two policies are
+//! lookahead). `Parallel` is the same loop with fork/join rounds over a
+//! worker pool. Every shared interaction therefore happens in exactly the
+//! order the reference policy would produce, and the policies are
 //! bit-identical in stats, accounting, and times (asserted by
 //! `tests/sched_equivalence.rs`; DESIGN.md details the argument).
 //!
@@ -195,118 +196,31 @@ struct Heartbeat {
     last_worker: Vec<u64>,
 }
 
-/// The environment one node's core executes against (see
-/// [`flashsim_cpu::env::MemEnv`]).
-struct MachineEnv<'a> {
+/// What both execution environments charge through: the resolving node,
+/// the configuration, and the profiler/telemetry handles. Its methods are
+/// the node-private half of [`MemEnv::resolve`] — TLB refill, probe,
+/// L1/L2 hit, wait on an in-flight fill — plus OS timer ticks, so the
+/// serial [`MachineEnv`] and a forked node's [`ForkEnv`] run one copy.
+struct NodeCtx<'a> {
     node: usize,
-    mems: &'a mut [NodeMem],
-    memsys: &'a mut dyn MemorySystem,
-    pt: &'a mut PageTable,
-    alloc: &'a mut FrameAllocator,
-    segments: &'a [Segment],
     cfg: &'a MachineConfig,
     clock: Clock,
-    tracer: Tracer,
-    faults: &'a FaultInjector,
     profiler: Profiler,
     telemetry: Telemetry,
-    spans: SpanTracer,
     tel: TelIds,
     /// Whether the current resolution happens inside a core op (charges
     /// subtract from that op's compute residual) or between ops (lock
     /// hand-offs: wall charges).
     in_op: bool,
-    /// Failure slot: `MemEnv::resolve` cannot return an error through the
-    /// core's execute path, so faults are parked here and harvested by the
-    /// scheduler immediately after the op completes.
-    fault: &'a mut Option<SimError>,
 }
 
-impl MachineEnv<'_> {
-    /// The node whose memory should back `addr`, per the containing
-    /// segment's placement request.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnmappedAddress`] if no declared segment
-    /// contains `addr`.
-    fn placement_node(&self, addr: VAddr) -> Result<u32, SimError> {
-        let Some(seg) = self.segments.iter().find(|s| s.contains(addr)) else {
-            return Err(SimError::UnmappedAddress {
-                node: self.node as u32,
-                addr,
-            });
-        };
-        let nodes = u64::from(self.cfg.nodes);
-        Ok(match seg.placement {
-            Placement::Node(n) => n.min(self.cfg.nodes - 1),
-            Placement::Blocked => {
-                let off = addr.get() - seg.base.get();
-                ((off * nodes / seg.bytes) as u32).min(self.cfg.nodes - 1)
-            }
-            Placement::Interleaved => (addr.vpn(self.cfg.geometry.page_bytes) % nodes) as u32,
-        })
-    }
-
-    /// Translates `addr`, handling TLB misses and first-touch page faults.
-    /// Returns the physical address, the TLB-refill time charged, and the
-    /// page-fault time charged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::UnmappedAddress`] for addresses outside every
-    /// declared segment and [`SimError::OutOfPhysicalMemory`] when the
-    /// frame allocator cannot back the page.
-    fn translate(
-        &mut self,
-        addr: VAddr,
-    ) -> Result<(flashsim_mem::PAddr, TimeDelta, TimeDelta), SimError> {
-        let page_bytes = self.cfg.geometry.page_bytes;
-        let vpn = addr.vpn(page_bytes);
-
-        let mut fault_cost = TimeDelta::ZERO;
-        let pfn = match self.pt.lookup(vpn) {
-            Some(pfn) => pfn,
-            None => {
-                let home = self.placement_node(addr)?;
-                let Some(pfn) = self.alloc.alloc(home, vpn) else {
-                    return Err(SimError::OutOfPhysicalMemory {
-                        node: self.node as u32,
-                        home,
-                        vpn,
-                    });
-                };
-                self.pt.map(vpn, pfn);
-                self.mems[self.node].page_faults += 1;
-                fault_cost = self.cfg.os.page_fault_cost;
-                pfn
-            }
-        };
-
-        let mut refill = TimeDelta::ZERO;
-        if let TlbModel::Modeled { refill_cycles, .. } = self.cfg.os.tlb {
-            let tlb = self.mems[self.node]
-                .tlb
-                .as_mut()
-                .expect("TLB modelled but absent"); // gate: allow
-            if tlb.translate(addr).is_none() {
-                tlb.insert(vpn, pfn);
-                refill = self.clock.cycles(refill_cycles);
-                self.mems[self.node].tlb_refills += 1;
-            }
-        }
-        Ok((
-            flashsim_mem::addr::translate(addr, pfn, page_bytes),
-            refill,
-            fault_cost,
-        ))
-    }
-
+impl NodeCtx<'_> {
     /// Charges `dur` starting at `at` to `class` on this node, as an
     /// in-op or wall charge depending on the resolution context. The
     /// environment is the single charging authority for memory latency,
     /// TLB refills, and OS costs exposed to the core; cores charge only
     /// their internal pipeline stalls, so no span is charged twice.
+    #[inline]
     fn account(&self, class: StallClass, at: Time, dur: TimeDelta) {
         if dur.is_zero() {
             return;
@@ -341,17 +255,233 @@ impl MachineEnv<'_> {
         self.account(StallClass::L2Miss, at, wait - occ - net);
     }
 
+    /// Looks `addr` (on mapped page `pfn`) up in the node's TLB, if one
+    /// is modelled, refilling it on a miss. Returns the refill time.
+    #[inline]
+    fn tlb_refill(&self, mem: &mut NodeMem, addr: VAddr, pfn: u64) -> TimeDelta {
+        let (TlbModel::Modeled { refill_cycles, .. }, Some(tlb)) = (self.cfg.os.tlb, &mut mem.tlb)
+        else {
+            return TimeDelta::ZERO;
+        };
+        if tlb.translate(addr).is_some() {
+            return TimeDelta::ZERO;
+        }
+        tlb.insert(addr.vpn(self.cfg.geometry.page_bytes), pfn);
+        mem.tlb_refills += 1;
+        self.clock.cycles(refill_cycles)
+    }
+
+    /// Charges a translated access's TLB refill and page fault, probes
+    /// the node's hierarchy, and counts the hit/miss telemetry.
+    #[inline(always)]
+    fn probe(
+        &self,
+        mem: &mut NodeMem,
+        paddr: flashsim_mem::PAddr,
+        kind: MemAccessKind,
+        at: Time,
+        refill: TimeDelta,
+        fault: TimeDelta,
+    ) -> HierProbe {
+        // The refill handler and fault path run on the pipeline for loads
+        // and stores alike; prefetches that miss the TLB are dropped by
+        // real hardware, so their costs are not demand stalls.
+        if kind != MemAccessKind::Prefetch {
+            self.account(StallClass::TlbRefill, at, refill);
+            self.account(StallClass::Os, at + refill, fault);
+        }
+        let t = at + refill + fault;
+        let probe = mem.hier.probe(paddr, kind == MemAccessKind::Write);
+        // Hit/miss telemetry counters are bucket-summed, so recording
+        // them here is safe under every scheduling policy (per-window
+        // sums commute).
+        match probe {
+            HierProbe::L1Hit => self.telemetry.count(self.tel.l1_hits, t, 1),
+            HierProbe::L2Hit => {
+                self.telemetry.count(self.tel.l1_misses, t, 1);
+                self.telemetry.count(self.tel.l2_hits, t, 1);
+            }
+            HierProbe::L2Upgrade | HierProbe::L2Miss => {
+                self.telemetry.count(self.tel.l1_misses, t, 1);
+                self.telemetry.count(self.tel.l2_misses, t, 1);
+            }
+        }
+        probe
+    }
+
+    /// Completes an L1 or L2 hit probed at `t`: fills L1 from L2 on an
+    /// L2 hit, then waits for the line's in-flight fill (e.g. behind a
+    /// prefetch), if any. Memory latency is charged for blocking demand
+    /// reads only: store and prefetch latency is overlapped by write
+    /// buffers and prefetch slots, and the portion that *isn't* hidden
+    /// surfaces as core-internal stalls the core models charge
+    /// themselves.
+    #[inline(always)]
+    fn hit(
+        &self,
+        mem: &mut NodeMem,
+        probe: HierProbe,
+        paddr: flashsim_mem::PAddr,
+        kind: MemAccessKind,
+        t: Time,
+    ) -> (Time, AccessLevel) {
+        let demand_read = kind == MemAccessKind::Read;
+        let (mut done_at, level) = if probe == HierProbe::L2Hit {
+            mem.hier
+                .fill_l1_from_l2(paddr, kind == MemAccessKind::Write);
+            if demand_read {
+                self.account(StallClass::L1Miss, t, self.cfg.l2_hit);
+            }
+            (t + self.cfg.l2_hit, AccessLevel::L2)
+        } else {
+            (t, AccessLevel::L1)
+        };
+        // Fast path for the overwhelmingly common case: no in-flight
+        // fills to wait on — skip the line math and the lookup.
+        if mem.pending.is_empty() {
+            return (done_at, level);
+        }
+        let line = mem.hier.l2_line(paddr);
+        if let Some(&(arrives, bd)) = mem.pending.get(&line) {
+            if arrives > done_at {
+                if demand_read {
+                    self.charge_exposed_wait(done_at, arrives - done_at, bd);
+                }
+                done_at = arrives;
+            } else {
+                mem.pending.remove(&line);
+            }
+        }
+        (done_at, level)
+    }
+
+    /// Charges the node's pending OS timer ticks up to `core`'s current
+    /// time. Ticks touch only per-node state, so every schedule charges
+    /// them inline after each op.
+    fn charge_ticks(&self, core: &mut dyn Core, mem: &mut NodeMem) {
+        let Some(interval) = self.cfg.os.timer_interval else {
+            return;
+        };
+        let now = core.now();
+        while mem.next_tick <= now {
+            mem.next_tick += interval;
+            let at = core.now();
+            self.profiler
+                .charge_wall(self.node as u32, StallClass::Os, at, self.cfg.os.timer_cost);
+            core.set_time(at + self.cfg.os.timer_cost);
+        }
+    }
+}
+
+/// The environment one node's core executes against in the serial phase
+/// (see [`flashsim_cpu::env::MemEnv`]): the node-private path of
+/// [`NodeCtx`] plus every shared one — page faults, upgrades, misses,
+/// coherence actions, tracing and spans.
+struct MachineEnv<'a> {
+    ctx: NodeCtx<'a>,
+    mems: &'a mut [NodeMem],
+    memsys: &'a mut dyn MemorySystem,
+    pt: &'a mut PageTable,
+    alloc: &'a mut FrameAllocator,
+    segments: &'a [Segment],
+    tracer: Tracer,
+    faults: &'a FaultInjector,
+    spans: SpanTracer,
+    /// Failure slot: `MemEnv::resolve` cannot return an error through the
+    /// core's execute path, so faults are parked here and harvested by the
+    /// scheduler immediately after the op completes.
+    fault: &'a mut Option<SimError>,
+}
+
+/// A node's [`MachineEnv`] plus the per-node state a schedule drives
+/// beside it — cores, streams and statuses (see [`Machine::split_env`]).
+type EnvSplit<'a> = (
+    MachineEnv<'a>,
+    &'a mut [Box<dyn Core>],
+    &'a mut [ThreadStream],
+    &'a mut [NodeStatus],
+);
+
+impl MachineEnv<'_> {
+    /// The node whose memory should back `addr`, per the containing
+    /// segment's placement request.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnmappedAddress`] if no declared segment
+    /// contains `addr`.
+    fn placement_node(&self, addr: VAddr) -> Result<u32, SimError> {
+        let Some(seg) = self.segments.iter().find(|s| s.contains(addr)) else {
+            return Err(SimError::UnmappedAddress {
+                node: self.ctx.node as u32,
+                addr,
+            });
+        };
+        let nodes = u64::from(self.ctx.cfg.nodes);
+        Ok(match seg.placement {
+            Placement::Node(n) => n.min(self.ctx.cfg.nodes - 1),
+            Placement::Blocked => {
+                let off = addr.get() - seg.base.get();
+                ((off * nodes / seg.bytes) as u32).min(self.ctx.cfg.nodes - 1)
+            }
+            Placement::Interleaved => (addr.vpn(self.ctx.cfg.geometry.page_bytes) % nodes) as u32,
+        })
+    }
+
+    /// Translates `addr`, handling TLB misses and first-touch page faults.
+    /// Returns the physical address, the TLB-refill time charged, and the
+    /// page-fault time charged.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::UnmappedAddress`] for addresses outside every
+    /// declared segment and [`SimError::OutOfPhysicalMemory`] when the
+    /// frame allocator cannot back the page.
+    fn translate(
+        &mut self,
+        addr: VAddr,
+    ) -> Result<(flashsim_mem::PAddr, TimeDelta, TimeDelta), SimError> {
+        let node = self.ctx.node;
+        let page_bytes = self.ctx.cfg.geometry.page_bytes;
+        let vpn = addr.vpn(page_bytes);
+
+        let mut fault_cost = TimeDelta::ZERO;
+        let pfn = match self.pt.lookup(vpn) {
+            Some(pfn) => pfn,
+            None => {
+                let home = self.placement_node(addr)?;
+                let Some(pfn) = self.alloc.alloc(home, vpn) else {
+                    return Err(SimError::OutOfPhysicalMemory {
+                        node: node as u32,
+                        home,
+                        vpn,
+                    });
+                };
+                self.pt.map(vpn, pfn);
+                self.mems[node].page_faults += 1;
+                fault_cost = self.ctx.cfg.os.page_fault_cost;
+                pfn
+            }
+        };
+        let refill = self.ctx.tlb_refill(&mut self.mems[node], addr, pfn);
+        Ok((
+            flashsim_mem::addr::translate(addr, pfn, page_bytes),
+            refill,
+            fault_cost,
+        ))
+    }
+
     /// Applies directory-mandated coherence actions to the *other* nodes.
     fn apply_actions(&mut self, line: LineAddr, actions: &flashsim_mem::CoherenceActions) {
         for &v in &actions.invalidate {
-            if v as usize != self.node {
+            if v as usize != self.ctx.node {
                 self.mems[v as usize].hier.invalidate_line(line);
                 self.mems[v as usize].pending.remove(&line);
                 self.mems[v as usize].lb_dirty = true;
             }
         }
         if let Some(v) = actions.downgrade {
-            if v as usize != self.node {
+            if v as usize != self.ctx.node {
                 self.mems[v as usize].hier.downgrade_line(line);
                 self.mems[v as usize].lb_dirty = true;
             }
@@ -370,7 +500,7 @@ impl MachineEnv<'_> {
         refill: TimeDelta,
         fault: TimeDelta,
     ) -> bool {
-        let node = self.node as u32;
+        let node = self.ctx.node as u32;
         if !self.spans.txn_try_begin(node, line.get(), kind.key(), at) {
             return false;
         }
@@ -399,7 +529,7 @@ impl MachineEnv<'_> {
         if !self.tracer.enabled(TraceCategory::Span) {
             return;
         }
-        let node = self.node as u32;
+        let node = self.ctx.node as u32;
         let id = flashsim_engine::span::mix(line.get() ^ (u64::from(node) << 40) ^ at.as_ps());
         self.tracer
             .emit(at, TraceCategory::Span, "span_begin", node, id, line.get());
@@ -414,14 +544,14 @@ impl MachineEnv<'_> {
         write: bool,
         t: Time,
     ) -> (Time, AccessLevel, LatencyBreakdown) {
-        let line = self.mems[self.node].hier.l2_line(paddr);
+        let line = self.mems[self.ctx.node].hier.l2_line(paddr);
         let kind = if write {
             AccessKind::ReadExclusive
         } else {
             AccessKind::ReadShared
         };
         let mut out = self.memsys.access(MemRequest {
-            node: self.node as u32,
+            node: self.ctx.node as u32,
             line,
             kind,
             now: t,
@@ -434,7 +564,7 @@ impl MachineEnv<'_> {
         if perturb > TimeDelta::ZERO {
             self.spans.leg(
                 "fault_perturb",
-                self.node as u32,
+                self.ctx.node as u32,
                 pre_perturb,
                 out.done_at,
                 Some(flashsim_engine::SpanClass::Memory),
@@ -446,14 +576,14 @@ impl MachineEnv<'_> {
         // writeback legs never attach to the demand transaction.
         self.spans.txn_end(out.done_at, out.case.key());
         self.apply_actions(line, &out.actions);
-        let victim = self.mems[self.node]
+        let victim = self.mems[self.ctx.node]
             .hier
             .fill_from_memory(paddr, write, out.exclusive);
         if let Some(v) = victim {
             if v.dirty {
                 // Background writeback of the displaced dirty line.
                 let _ = self.memsys.access(MemRequest {
-                    node: self.node as u32,
+                    node: self.ctx.node as u32,
                     line: v.line,
                     kind: AccessKind::Writeback,
                     now: out.done_at,
@@ -463,21 +593,21 @@ impl MachineEnv<'_> {
                         out.done_at,
                         TraceCategory::Mem,
                         "writeback",
-                        self.node as u32,
+                        self.ctx.node as u32,
                         v.line.get(),
                         0,
                     );
                 }
             }
-            self.mems[self.node].pending.remove(&v.line);
+            self.mems[self.ctx.node].pending.remove(&v.line);
         }
-        self.mems[self.node]
+        self.mems[self.ctx.node]
             .pending
             .insert(line, (out.done_at, out.breakdown));
-        self.telemetry.gauge(
-            self.tel.pending_depth,
+        self.ctx.telemetry.gauge(
+            self.ctx.tel.pending_depth,
             t,
-            self.mems[self.node].pending.len() as u64,
+            self.mems[self.ctx.node].pending.len() as u64,
         );
         (out.done_at, AccessLevel::Memory(out.case), out.breakdown)
     }
@@ -499,70 +629,22 @@ impl MemEnv for MachineEnv<'_> {
                 };
             }
         };
+        let node = self.ctx.node;
         let t = at + refill + fault;
         let write = kind == MemAccessKind::Write;
+        let probe = self
+            .ctx
+            .probe(&mut self.mems[node], paddr, kind, at, refill, fault);
 
-        // The refill handler and fault path run on the pipeline for loads
-        // and stores alike; prefetches that miss the TLB are dropped by
-        // real hardware, so their costs are not demand stalls.
-        if kind != MemAccessKind::Prefetch {
-            self.account(StallClass::TlbRefill, at, refill);
-            self.account(StallClass::Os, at + refill, fault);
-        }
-        // Memory latency below is charged for blocking demand reads only:
-        // store and prefetch latency is overlapped by write buffers and
-        // prefetch slots, and the portion that *isn't* hidden surfaces as
-        // core-internal stalls the core models charge themselves.
-        let demand_read = kind == MemAccessKind::Read;
-
-        let probe = self.mems[self.node].hier.probe(paddr, write);
-
-        // Hit/miss telemetry counters are bucket-summed, so recording
-        // them here — covering the fast path below too — is safe under
-        // either scheduling policy (per-window sums commute).
-        match probe {
-            HierProbe::L1Hit => self.telemetry.count(self.tel.l1_hits, t, 1),
-            HierProbe::L2Hit => {
-                self.telemetry.count(self.tel.l1_misses, t, 1);
-                self.telemetry.count(self.tel.l2_hits, t, 1);
-            }
-            HierProbe::L2Upgrade | HierProbe::L2Miss => {
-                self.telemetry.count(self.tel.l1_misses, t, 1);
-                self.telemetry.count(self.tel.l2_misses, t, 1);
-            }
-        }
-
-        // Fast path for the overwhelmingly common case: an L1 hit with no
-        // in-flight fills to wait on and no memory tracing charges
-        // nothing and completes at `t` — skip line math, the pending-fill
-        // lookup, and trace plumbing. Bit-identical to the general path
-        // below by construction.
-        if matches!(probe, HierProbe::L1Hit)
-            && self.mems[self.node].pending.is_empty()
-            && !self.tracer.enabled(TraceCategory::Mem)
-        {
-            return Resolution {
-                done_at: t,
-                level: AccessLevel::L1,
-                tlb_refill: refill,
-            };
-        }
-
-        let line = self.mems[self.node].hier.l2_line(paddr);
-
-        let (mut done_at, level) = match probe {
-            HierProbe::L1Hit => (t, AccessLevel::L1),
-            HierProbe::L2Hit => {
-                self.mems[self.node].hier.fill_l1_from_l2(paddr, write);
-                if demand_read {
-                    self.account(StallClass::L1Miss, t, self.cfg.l2_hit);
-                }
-                (t + self.cfg.l2_hit, AccessLevel::L2)
+        let (done_at, level) = match probe {
+            HierProbe::L1Hit | HierProbe::L2Hit => {
+                self.ctx.hit(&mut self.mems[node], probe, paddr, kind, t)
             }
             HierProbe::L2Upgrade => {
+                let line = self.mems[node].hier.l2_line(paddr);
                 let sampled = self.span_txn_open(line, kind, at, refill, fault);
                 let mut out = self.memsys.access(MemRequest {
-                    node: self.node as u32,
+                    node: node as u32,
                     line,
                     kind: AccessKind::Upgrade,
                     now: t,
@@ -575,7 +657,7 @@ impl MemEnv for MachineEnv<'_> {
                         // by perturbation, so the leg is unclassed.
                         self.spans.leg(
                             "fault_perturb",
-                            self.node as u32,
+                            node as u32,
                             pre_perturb,
                             out.done_at,
                             None,
@@ -586,38 +668,26 @@ impl MemEnv for MachineEnv<'_> {
                     self.span_mark(line, at, out.done_at);
                 }
                 self.apply_actions(line, &out.actions);
-                self.mems[self.node].hier.complete_upgrade(paddr);
+                self.mems[node].hier.complete_upgrade(paddr);
                 (out.done_at, AccessLevel::Memory(out.case))
             }
             HierProbe::L2Miss => {
+                let line = self.mems[node].hier.l2_line(paddr);
                 let sampled = self.span_txn_open(line, kind, at, refill, fault);
                 let (done, level, bd) = self.miss_transaction(paddr, write, t);
                 if sampled {
                     self.span_mark(line, at, done);
                 }
-                if demand_read {
-                    self.account(StallClass::DirOccupancy, t, bd.occupancy);
-                    self.account(StallClass::NetTransit, t, bd.network);
-                    self.account(StallClass::L2Miss, t, bd.memory);
+                // Charged for blocking demand reads only, as in
+                // `NodeCtx::hit`.
+                if kind == MemAccessKind::Read {
+                    self.ctx.account(StallClass::DirOccupancy, t, bd.occupancy);
+                    self.ctx.account(StallClass::NetTransit, t, bd.network);
+                    self.ctx.account(StallClass::L2Miss, t, bd.memory);
                 }
                 (done, level)
             }
         };
-
-        // A hit on a line whose fill is still in flight (e.g. behind a
-        // prefetch) waits for the data to arrive.
-        if matches!(probe, HierProbe::L1Hit | HierProbe::L2Hit) {
-            if let Some(&(arrives, bd)) = self.mems[self.node].pending.get(&line) {
-                if arrives > done_at {
-                    if demand_read {
-                        self.charge_exposed_wait(done_at, arrives - done_at, bd);
-                    }
-                    done_at = arrives;
-                } else {
-                    self.mems[self.node].pending.remove(&line);
-                }
-            }
-        }
 
         if self.tracer.enabled(TraceCategory::Mem) {
             let kind = match probe {
@@ -630,8 +700,8 @@ impl MemEnv for MachineEnv<'_> {
                 done_at,
                 TraceCategory::Mem,
                 kind,
-                self.node as u32,
-                line.get(),
+                node as u32,
+                self.mems[node].hier.l2_line(paddr).get(),
                 write as u64,
             );
         }
@@ -712,10 +782,33 @@ fn lock_slot(slots: &[Mutex<ForkSlot>], n: usize) -> MutexGuard<'_, ForkSlot> {
     slots[n].lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Whether non-sync `op` is predicted node-private: anything but a
+/// memory op (on a core that resolves memory) is; a memory op is when
+/// its page is mapped — first touch maps a page, and the page table and
+/// frame allocator are shared state — and [`CacheHierarchy::classify`]
+/// predicts an L1 or L2 hit rather than an upgrade or miss.
+fn predicted_private(
+    op: &flashsim_isa::Op,
+    profile: ScanProfile,
+    hier: &CacheHierarchy,
+    pt: &PageTable,
+    page_bytes: u64,
+) -> bool {
+    if !(profile.resolves_memory && op.class.is_memory()) {
+        return true;
+    }
+    pt.lookup(op.addr.vpn(page_bytes)).is_some_and(|pfn| {
+        let paddr = flashsim_mem::addr::translate(op.addr, pfn, page_bytes);
+        matches!(
+            hier.classify(paddr, op.class == OpClass::Store),
+            HierProbe::L1Hit | HierProbe::L2Hit
+        )
+    })
+}
+
 /// Walks `stream` from its cursor counting ops until the first
-/// *possibly shared* one — a sync op, a memory op on an unmapped page,
-/// or an access [`CacheHierarchy::classify`] predicts as an upgrade or
-/// miss — and returns `now + count * min_ps_per_op`, a lower bound on
+/// *possibly shared* one — a sync op, or one [`predicted_private`]
+/// rejects — and returns `now + count * min_ps_per_op`, a lower bound on
 /// that op's reference schedule key (every op advances the node clock
 /// by at least one cycle, and per-node op keys are monotone).
 /// [`Time::MAX`] when the stream ends first; a capped scan returns the
@@ -732,26 +825,7 @@ fn scan_lb(
         let Some(op) = stream.peek_at(k) else {
             return Time::MAX;
         };
-        let shared = if op.class.is_sync() {
-            true
-        } else if profile.resolves_memory && op.class.is_memory() {
-            match pt.lookup(op.addr.vpn(page_bytes)) {
-                // First touch maps a page: page table and frame
-                // allocator are shared state.
-                None => true,
-                Some(pfn) => {
-                    let paddr = flashsim_mem::addr::translate(op.addr, pfn, page_bytes);
-                    let write = op.class == OpClass::Store;
-                    matches!(
-                        hier.classify(paddr, write),
-                        HierProbe::L2Upgrade | HierProbe::L2Miss
-                    )
-                }
-            }
-        } else {
-            false
-        };
-        if shared {
+        if op.class.is_sync() || !predicted_private(op, profile, hier, pt, page_bytes) {
             return now + profile.min_ps_per_op * k as u64;
         }
     }
@@ -759,127 +833,39 @@ fn scan_lb(
 }
 
 /// The environment a forked node's core executes against during the
-/// parallel policy's private phase. It mirrors [`MachineEnv`]'s resolve
-/// bit-for-bit on the paths a fork-admitted op can reach — translation
-/// of an already-mapped page (TLB refills included), L1/L2 hits, and
-/// waits on the node's own in-flight fills. The shared paths (page
-/// faults, upgrades, misses, tracing, spans) are unreachable by
-/// construction: the dispatcher admits a memory op only after
-/// [`CacheHierarchy::classify`] proves it a hit on a mapped page, pages
+/// parallel policy's private phase: [`NodeCtx`]'s node-private path over
+/// the node's own memory state and the round's read-only page table.
+/// The shared paths (page faults, upgrades, misses, tracing, spans) are
+/// unreachable by construction: the dispatcher admits a memory op only
+/// after [`predicted_private`] proves it a hit on a mapped page, pages
 /// are never unmapped, and no private path evicts or downgrades an L2
 /// line, so the prediction cannot degrade before the op executes.
-struct ForkEnv {
-    node: usize,
+struct ForkEnv<'a> {
+    ctx: NodeCtx<'a>,
     mem: NodeMem,
-    pt: Arc<PageTable>,
-    cfg: Arc<MachineConfig>,
-    clock: Clock,
-    profiler: Profiler,
-    telemetry: Telemetry,
-    tel: TelIds,
+    pt: &'a PageTable,
 }
 
-impl ForkEnv {
-    /// [`MachineEnv::account`] with `in_op` fixed to true: forked
-    /// resolution always happens inside a core op.
-    fn account(&self, class: StallClass, at: Time, dur: TimeDelta) {
-        if dur.is_zero() {
-            return;
-        }
-        self.profiler.charge(self.node as u32, class, at, dur);
-    }
-
-    /// Identical to [`MachineEnv::charge_exposed_wait`].
-    fn charge_exposed_wait(&self, at: Time, wait: TimeDelta, bd: LatencyBreakdown) {
-        let total = bd.total().as_ps();
-        if total == 0 {
-            self.account(StallClass::L2Miss, at, wait);
-            return;
-        }
-        let w = wait.as_ps() as u128;
-        let part =
-            |p: TimeDelta| TimeDelta::from_ps((w * p.as_ps() as u128 / total as u128) as u64);
-        let occ = part(bd.occupancy);
-        let net = part(bd.network);
-        self.account(StallClass::DirOccupancy, at, occ);
-        self.account(StallClass::NetTransit, at, net);
-        self.account(StallClass::L2Miss, at, wait - occ - net);
-    }
-}
-
-impl MemEnv for ForkEnv {
+impl MemEnv for ForkEnv<'_> {
     fn resolve(&mut self, addr: VAddr, kind: MemAccessKind, at: Time) -> Resolution {
-        let page_bytes = self.cfg.geometry.page_bytes;
-        let vpn = addr.vpn(page_bytes);
+        let page_bytes = self.ctx.cfg.geometry.page_bytes;
         // Admission proved the page mapped (an unmapped page is a
         // possibly-shared action) and pages are never unmapped.
-        let pfn = self.pt.lookup(vpn).expect("fork op on unmapped page"); // gate: allow
-        let mut refill = TimeDelta::ZERO;
-        if let TlbModel::Modeled { refill_cycles, .. } = self.cfg.os.tlb {
-            let tlb = self.mem.tlb.as_mut().expect("TLB modelled but absent"); // gate: allow
-            if tlb.translate(addr).is_none() {
-                tlb.insert(vpn, pfn);
-                refill = self.clock.cycles(refill_cycles);
-                self.mem.tlb_refills += 1;
-            }
-        }
+        let pfn = self
+            .pt
+            .lookup(addr.vpn(page_bytes))
+            .expect("fork op on unmapped page"); // gate: allow
+        let refill = self.ctx.tlb_refill(&mut self.mem, addr, pfn);
         let paddr = flashsim_mem::addr::translate(addr, pfn, page_bytes);
-        // No page fault is possible here, so `t = at + refill + 0` and
-        // the zero OS charge MachineEnv would skip is skipped too.
-        let t = at + refill;
-        let write = kind == MemAccessKind::Write;
-        if kind != MemAccessKind::Prefetch {
-            self.account(StallClass::TlbRefill, at, refill);
-        }
-        let demand_read = kind == MemAccessKind::Read;
-
-        let probe = self.mem.hier.probe(paddr, write);
-        match probe {
-            HierProbe::L1Hit => self.telemetry.count(self.tel.l1_hits, t, 1),
-            HierProbe::L2Hit => {
-                self.telemetry.count(self.tel.l1_misses, t, 1);
-                self.telemetry.count(self.tel.l2_hits, t, 1);
-            }
+        let probe = self
+            .ctx
+            .probe(&mut self.mem, paddr, kind, at, refill, TimeDelta::ZERO);
+        if !matches!(probe, HierProbe::L1Hit | HierProbe::L2Hit) {
             // Admission classified this access a hit, and private
             // execution can only preserve or upgrade hit-ness.
-            HierProbe::L2Upgrade | HierProbe::L2Miss => unreachable!(), // gate: allow
+            unreachable!("fork admitted a shared access"); // gate: allow
         }
-
-        // Memory tracing is never enabled under a fork (the policy runs
-        // fully serial when the tracer is active), so this is exactly
-        // MachineEnv's fast-path condition.
-        if matches!(probe, HierProbe::L1Hit) && self.mem.pending.is_empty() {
-            return Resolution {
-                done_at: t,
-                level: AccessLevel::L1,
-                tlb_refill: refill,
-            };
-        }
-
-        let line = self.mem.hier.l2_line(paddr);
-        let (mut done_at, level) = match probe {
-            HierProbe::L1Hit => (t, AccessLevel::L1),
-            HierProbe::L2Hit => {
-                self.mem.hier.fill_l1_from_l2(paddr, write);
-                if demand_read {
-                    self.account(StallClass::L1Miss, t, self.cfg.l2_hit);
-                }
-                (t + self.cfg.l2_hit, AccessLevel::L2)
-            }
-            HierProbe::L2Upgrade | HierProbe::L2Miss => unreachable!(), // gate: allow
-        };
-
-        if let Some(&(arrives, bd)) = self.mem.pending.get(&line) {
-            if arrives > done_at {
-                if demand_read {
-                    self.charge_exposed_wait(done_at, arrives - done_at, bd);
-                }
-                done_at = arrives;
-            } else {
-                self.mem.pending.remove(&line);
-            }
-        }
-
+        let (done_at, level) = self.ctx.hit(&mut self.mem, probe, paddr, kind, at + refill);
         Resolution {
             done_at,
             level,
@@ -895,36 +881,27 @@ impl MemEnv for ForkEnv {
 /// possibly-shared action, so it commutes with everything that can
 /// happen before the next serial phase), then dispatch with inline OS
 /// timer ticks. Sync ops stop the phase *unconsumed* for the serial
-/// loop's sync arm; a memory op runs only if admission proves it
-/// private (mapped page, classify hit). The round's budget guard runs
-/// before forking, so no per-op budget check is needed here.
-#[allow(clippy::too_many_arguments)]
+/// loop's sync arm; a memory op runs only if [`predicted_private`]
+/// admits it. The round's budget guard runs before forking, so no
+/// per-op budget check is needed here.
 fn run_fork(
-    n: usize,
     mut bundle: Bundle,
+    ctx: NodeCtx<'_>,
     horizon: Option<(u32, Time)>,
     quota: u64,
     profile: ScanProfile,
-    inject_stalls: bool,
     faults: &FaultInjector,
-    pt: &Arc<PageTable>,
-    cfg: &Arc<MachineConfig>,
-    profiler: &Profiler,
-    telemetry: &Telemetry,
-    tel: TelIds,
+    pt: &PageTable,
 ) -> (Bundle, u64, NodeStatus, ForkStop) {
-    let page_bytes = cfg.geometry.page_bytes;
+    let n = ctx.node;
+    let page_bytes = ctx.cfg.geometry.page_bytes;
+    let inject_stalls = faults.is_active();
     let mut env = ForkEnv {
-        node: n,
+        ctx,
         mem: bundle.mem,
-        pt: Arc::clone(pt),
-        cfg: Arc::clone(cfg),
-        clock: cfg.cpu.clock(),
-        profiler: profiler.clone(),
-        telemetry: telemetry.clone(),
-        tel,
+        pt,
     };
-    let core = &mut bundle.core;
+    let core = &mut *bundle.core;
     let stream = &mut bundle.stream;
     let mut dispatches = 0u64;
     let mut status = NodeStatus::Running;
@@ -959,41 +936,18 @@ fn run_fork(
             stop = ForkStop::Sync;
             break;
         }
-        if profile.resolves_memory && op.class.is_memory() {
-            let admitted = match pt.lookup(op.addr.vpn(page_bytes)) {
-                None => false,
-                Some(pfn) => {
-                    let paddr = flashsim_mem::addr::translate(op.addr, pfn, page_bytes);
-                    let write = op.class == OpClass::Store;
-                    matches!(
-                        env.mem.hier.classify(paddr, write),
-                        HierProbe::L1Hit | HierProbe::L2Hit
-                    )
-                }
-            };
-            if !admitted {
-                stop = ForkStop::Shared;
-                break;
-            }
+        if !predicted_private(&op, profile, &env.mem.hier, pt, page_bytes) {
+            stop = ForkStop::Shared;
+            break;
         }
         dispatches += 1;
         stream.advance();
         let op_start = core.now();
         core.execute(&op, &mut env);
-        env.profiler
+        env.ctx
+            .profiler
             .mark_op(n as u32, op_start, core.now().saturating_since(op_start));
-        // OS timer ticks touch only per-node state; charged inline
-        // exactly as run_batch does.
-        if let Some(interval) = cfg.os.timer_interval {
-            let now = core.now();
-            while env.mem.next_tick <= now {
-                env.mem.next_tick += interval;
-                let at = core.now();
-                env.profiler
-                    .charge_wall(n as u32, StallClass::Os, at, cfg.os.timer_cost);
-                core.set_time(at + cfg.os.timer_cost);
-            }
-        }
+        env.ctx.charge_ticks(core, &mut env.mem);
     }
     bundle.mem = env.mem;
     (bundle, dispatches, status, stop)
@@ -1663,21 +1617,6 @@ impl Machine {
         }
     }
 
-    /// Charges pending OS timer ticks to node `n` up to its current time.
-    fn charge_ticks(&mut self, n: usize) {
-        let Some(interval) = self.cfg.os.timer_interval else {
-            return;
-        };
-        let now = self.cores[n].now();
-        while self.mems[n].next_tick <= now {
-            self.mems[n].next_tick += interval;
-            let at = self.cores[n].now();
-            self.profiler
-                .charge_wall(n as u32, StallClass::Os, at, self.cfg.os.timer_cost);
-            self.cores[n].set_time(at + self.cfg.os.timer_cost);
-        }
-    }
-
     fn barrier_overhead(&self) -> TimeDelta {
         self.cfg.barrier_base + self.cfg.barrier_per_node * u64::from(self.cfg.nodes)
     }
@@ -1715,9 +1654,16 @@ impl Machine {
             );
         }
         let ran = match self.cfg.sched {
-            SchedPolicy::Batched => self.run_batched(wall_start),
+            SchedPolicy::Batched => self.run_scheduled(None, wall_start),
             SchedPolicy::Reference => self.run_reference(wall_start),
-            SchedPolicy::Parallel { workers } => self.run_parallel(workers, wall_start),
+            SchedPolicy::Parallel { workers } => {
+                let pool = WorkerPool::new(workers);
+                let out = self.run_scheduled(Some(&pool), wall_start);
+                // Harvest the pool's per-worker host-time lanes before the
+                // pool (and its counters) is dropped. Host observability only.
+                self.hostprof.record_workers(pool.lanes());
+                out
+            }
         };
         self.hostprof.run_end();
         if let Err(e) = ran {
@@ -1744,8 +1690,6 @@ impl Machine {
     /// against, and as a debugging fallback.
     fn run_reference(&mut self, wall_start: std::time::Instant) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
-        let wall_limit = self.cfg.watchdog.wall_limit;
         // Resumed runs re-enter mid-stream: the dispatch counter continues
         // from the restored streams' consumed ops, so watchdog budgets and
         // stall reports read the same as in an uninterrupted run. (At a
@@ -1754,43 +1698,15 @@ impl Machine {
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
         let mut decisions: u64 = 0;
         loop {
-            self.heartbeat_tick(executed);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check: the `Instant` read happens
-                // on the first decision, then once per 4096.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
-                }
-            }
-            if inject_stalls {
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                    }
-                }
-            }
+            self.decision_tick(&mut decisions, executed, wall_start)?;
+            self.sweep_stalls(None);
 
             // Laggard-first: the running node with the smallest clock.
             let next = (0..nodes)
                 .filter(|n| self.status[*n] == NodeStatus::Running)
                 .min_by_key(|n| self.cores[*n].now());
             let Some(n) = next else {
-                if self.status.iter().all(|s| *s == NodeStatus::Done) {
-                    return Ok(());
-                }
-                // A stalled node is the root cause when present: the
-                // others are merely waiting for it at barriers/locks.
-                if self.status.contains(&NodeStatus::Stalled) {
-                    return Err(self.stall_error(executed));
-                }
-                return Err(SimError::Deadlock {
-                    nodes: self.snapshots(),
-                });
+                return self.verdict(executed);
             };
             if let Some(budget) = self.cfg.watchdog.max_ops {
                 if executed >= budget {
@@ -1802,8 +1718,79 @@ impl Machine {
         }
     }
 
-    /// The production schedule: laggard selection through a min-heap, and
-    /// a *batch* of ops per decision under conservative lookahead.
+    /// Per-decision bookkeeping every schedule shares: the heartbeat
+    /// tick, then the amortized wall-clock watchdog — the `Instant` read
+    /// happens on the first decision, then once per 4096 (a batch or a
+    /// round bounds the time between decisions).
+    fn decision_tick(
+        &mut self,
+        decisions: &mut u64,
+        executed: u64,
+        wall_start: std::time::Instant,
+    ) -> Result<(), SimError> {
+        self.heartbeat_tick(executed);
+        *decisions += 1;
+        if let Some(limit) = self.cfg.watchdog.wall_limit {
+            if *decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
+                return Err(self.timeout_error(wall_start, limit));
+            }
+        }
+        Ok(())
+    }
+
+    /// The injector's stall sweep, run before every scheduling decision:
+    /// parks each Running node whose injected stall point has come,
+    /// dropping it from `heap` when the schedule keeps one.
+    fn sweep_stalls(&mut self, mut heap: Option<&mut LaggardHeap>) {
+        if !self.injector.is_active() {
+            return;
+        }
+        for n in 0..self.status.len() {
+            if self.status[n] == NodeStatus::Running
+                && self
+                    .injector
+                    .node_stalled(n as u32, self.streams[n].consumed())
+            {
+                self.status[n] = NodeStatus::Stalled;
+                if let Some(heap) = heap.as_mut() {
+                    heap.remove(n as u32);
+                }
+            }
+        }
+    }
+
+    /// The verdict once no node is runnable: success when every node is
+    /// done; otherwise a stalled node is the root cause when present (the
+    /// others are merely waiting for it at barriers/locks), and a
+    /// deadlock when not.
+    fn verdict(&self, executed: u64) -> Result<(), SimError> {
+        if self.status.iter().all(|s| *s == NodeStatus::Done) {
+            return Ok(());
+        }
+        if self.status.contains(&NodeStatus::Stalled) {
+            return Err(self.stall_error(executed));
+        }
+        Err(SimError::Deadlock {
+            nodes: self.snapshots(),
+        })
+    }
+
+    /// Rebuilds the laggard heap from the Running set, keyed by clocks.
+    fn rebuild_heap(&self, heap: &mut LaggardHeap) {
+        heap.clear();
+        for (n, status) in self.status.iter().enumerate() {
+            if *status == NodeStatus::Running {
+                heap.insert(n as u32, self.cores[n].now());
+            }
+        }
+    }
+
+    /// The production schedule, shared by the `Batched` policy (no
+    /// `pool`) and the `Parallel` one: laggard selection through a
+    /// min-heap and a *batch* of ops per decision under conservative
+    /// lookahead, with fork/join rounds interleaved — when a worker pool
+    /// is given — whenever the lookahead window covers more than one
+    /// node's private run.
     ///
     /// The heap mirrors the set of `Running` nodes keyed by their clocks,
     /// ordered `(clock, node)` — the reference scan's tie-break. A popped
@@ -1811,51 +1798,131 @@ impl Machine {
     /// fail; the runner-up's key is a valid bound for the whole batch
     /// because no other node's clock, status, or stream can change while
     /// only the laggard executes.
-    fn run_batched(&mut self, wall_start: std::time::Instant) -> Result<(), SimError> {
+    ///
+    /// A round scans each runnable node's op stream for a lower bound on
+    /// its next *possibly shared* action (sync op, unmapped page,
+    /// predicted upgrade/miss — see [`scan_lb`]), then executes every
+    /// node's private prefix concurrently on the [`WorkerPool`], each node
+    /// stopping before its horizon — the minimum of the *other* nodes'
+    /// bounds. Private ops on distinct nodes commute (they touch only
+    /// node-private state, and profiler charges and telemetry counters
+    /// are per-window sums), and the horizon guarantees every forked op
+    /// precedes every shared action any other node can take in reference
+    /// order, so the round's outcome is byte-identical to the serial
+    /// policies regardless of worker count or host timing. All shared
+    /// ops — misses, upgrades, page faults, sync — still execute in the
+    /// serial phase, in exact reference order.
+    ///
+    /// Without a pool the loop never forks, publishes no worker
+    /// occupancy, and registers and tallies no per-worker or admission
+    /// counters. With one, forking is still disabled for the whole run
+    /// when a core model promises no per-op clock floor
+    /// ([`ScanProfile::OPAQUE`]: no horizon can be derived) or a tracer
+    /// is active (the ring's insertion order under concurrent emission is
+    /// not deterministic); the loop then runs serial batches only, as
+    /// without a pool. Telemetry-guided adaptation: an EWMA of per-round
+    /// admitted ops (the `sched.batch_ops` series) tunes the per-node
+    /// quota, and a low-yield round backs off to serial batches for a
+    /// while — both driven only by simulated state, so the adaptation
+    /// itself is deterministic.
+    fn run_scheduled(
+        &mut self,
+        pool: Option<&WorkerPool>,
+        wall_start: std::time::Instant,
+    ) -> Result<(), SimError> {
         let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
         let lookahead = self.memsys.min_shared_latency();
-        let wall_limit = self.cfg.watchdog.wall_limit;
+        let workers = pool.map_or(0, WorkerPool::size);
+        // Per-worker occupancy counters (volatile: host-shaped by
+        // construction, excluded from the policy-stable exports).
+        let busy_ids: Vec<MetricId> = (0..workers)
+            .map(|w| {
+                self.telemetry.register_node_volatile(
+                    "sched.worker_busy_ps",
+                    w as u32,
+                    MetricKind::Counter,
+                )
+            })
+            .collect();
+        let mut busy_prev: Vec<u64> = vec![0; workers];
+        let profiles: Vec<ScanProfile> = self.cores.iter().map(|c| c.scan_profile()).collect();
+        let transparent =
+            profiles.iter().all(|p| p.min_ps_per_op > TimeDelta::ZERO) && !self.tracer.is_active();
+        let fork = pool
+            .filter(|_| nodes >= 2 && transparent)
+            .map(|pool| (pool, Arc::new(self.cfg.clone())));
+        // Host observability: when forking is off because a profile is
+        // opaque (or a tracer pins the ring order), every serially run
+        // op is a rejected-opaque-profile admission outcome.
+        let opaque_serial = pool.is_some() && nodes >= 2 && !transparent;
         // See run_reference: continues from restored streams on resume.
         let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
         let mut decisions: u64 = 0;
         let mut heap = LaggardHeap::new(nodes);
-        for n in 0..nodes {
-            heap.insert(n as u32, self.cores[n].now());
-        }
+        self.rebuild_heap(&mut heap);
+        let mut lbs: Vec<Time> = vec![Time::ZERO; nodes];
+        let mut ewma: f64 = FORK_MAX_QUOTA / 2.0;
+        let mut serial_backoff: u32 = 0;
         loop {
-            self.heartbeat_tick(executed);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check (first decision, then once
-                // per 4096). A batch bounds the time between decisions.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
+            if let Some(pool) = pool {
+                // Refresh the live per-worker occupancy snapshot in place
+                // (no allocation on the decision path).
+                self.worker_busy_lanes.resize(workers, 0);
+                let mut busy_total = 0u64;
+                for (w, lane) in self.worker_busy_lanes.iter_mut().enumerate() {
+                    *lane = pool.busy_ns(w);
+                    busy_total += *lane;
                 }
+                self.worker_busy = Some((workers, busy_total));
             }
-            if inject_stalls {
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                        heap.remove(n as u32);
-                    }
-                }
-            }
+            self.decision_tick(&mut decisions, executed, wall_start)?;
+            self.sweep_stalls(Some(&mut heap));
 
+            if let Some((pool, cfg_arc)) = fork
+                .as_ref()
+                .filter(|_| serial_backoff == 0 && heap.len() >= 2)
+            {
+                let quota = (2.0 * ewma).clamp(FORK_MIN_QUOTA, FORK_MAX_QUOTA) as u64;
+                // The fork phase cannot consult the global dispatch
+                // counter mid-round, so fork only when the worst case
+                // fits under the watchdog budget — exhaustion then
+                // always surfaces in the serial phase, at the same
+                // dispatch count as under the serial policies.
+                let budget_ok = match self.cfg.watchdog.max_ops {
+                    None => true,
+                    Some(b) => executed + heap.len() as u64 * (quota + 1) <= b,
+                };
+                if budget_ok {
+                    let running = heap.len() as u64;
+                    let decision_at = heap.peek().map_or(Time::ZERO, |(_, t)| t);
+                    let admitted = self.parallel_round(pool, &profiles, &mut lbs, quota, cfg_arc);
+                    executed += admitted;
+                    self.telemetry.count(self.tel.sched_batches, decision_at, 1);
+                    self.telemetry
+                        .gauge(self.tel.sched_heap, decision_at, running);
+                    self.telemetry
+                        .count(self.tel.sched_batch_ops, decision_at, admitted);
+                    for (w, prev) in busy_prev.iter_mut().enumerate() {
+                        let b = pool.busy_ns(w);
+                        self.telemetry
+                            .count(busy_ids[w], decision_at, (b - *prev) * 1000);
+                        *prev = b;
+                    }
+                    let per_node = admitted as f64 / running.max(1) as f64;
+                    ewma = 0.75 * ewma + 0.25 * per_node;
+                    if per_node < FORK_MIN_YIELD {
+                        serial_backoff = SERIAL_BACKOFF;
+                    }
+                    // The round moved clocks and may have parked nodes.
+                    self.rebuild_heap(&mut heap);
+                    continue;
+                }
+            }
+            serial_backoff = serial_backoff.saturating_sub(1);
+
+            // Serial decision: one batch on the popped laggard.
             let Some((n, _)) = heap.pop() else {
-                if self.status.iter().all(|s| *s == NodeStatus::Done) {
-                    return Ok(());
-                }
-                if self.status.contains(&NodeStatus::Stalled) {
-                    return Err(self.stall_error(executed));
-                }
-                return Err(SimError::Deadlock {
-                    nodes: self.snapshots(),
-                });
+                return self.verdict(executed);
             };
             let limit = heap.peek();
             // Scheduler-internal telemetry (volatile: the reference
@@ -1875,217 +1942,9 @@ impl Machine {
                 // The node left the Running set (done or stalled); it
                 // re-enters the heap only via a sync-op rebuild.
                 BatchEnd::Parked => {}
-                BatchEnd::Sync => {
-                    // Sync ops can wake any set of parked nodes at new
-                    // clocks (barrier release, lock hand-off) or park the
-                    // executor; rebuild the heap from the Running set.
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
-                    }
-                }
-            }
-            self.telemetry
-                .count(self.tel.sched_batch_ops, decision_at, executed - ops_before);
-        }
-    }
-
-    /// The parallel schedule: the batched policy's loop, with fork/join
-    /// rounds interleaved whenever the conservative lookahead window
-    /// covers more than one node's private run.
-    ///
-    /// A round scans each runnable node's op stream for a lower bound on
-    /// its next *possibly shared* action (sync op, unmapped page,
-    /// predicted upgrade/miss — see [`scan_lb`]), then executes every
-    /// node's private prefix concurrently on a [`WorkerPool`], each node
-    /// stopping before its horizon — the minimum of the *other* nodes'
-    /// bounds. Private ops on distinct nodes commute (they touch only
-    /// node-private state, and profiler charges and telemetry counters
-    /// are per-window sums), and the horizon guarantees every forked op
-    /// precedes every shared action any other node can take in reference
-    /// order, so the round's outcome is byte-identical to the serial
-    /// policies regardless of worker count or host timing. All shared
-    /// ops — misses, upgrades, page faults, sync — still execute in the
-    /// serial phase, in exact reference order.
-    ///
-    /// Forking is disabled for the whole run when a core model promises
-    /// no per-op clock floor ([`ScanProfile::OPAQUE`]: no horizon can be
-    /// derived) or a tracer is active (the ring's insertion order under
-    /// concurrent emission is not deterministic); the loop then behaves
-    /// exactly like [`Machine::run_batched`]. Telemetry-guided
-    /// adaptation: an EWMA of per-round admitted ops (the
-    /// `sched.batch_ops` series) tunes the per-node quota, and a
-    /// low-yield round backs off to serial batches for a while — both
-    /// driven only by simulated state, so the adaptation itself is
-    /// deterministic.
-    fn run_parallel(
-        &mut self,
-        workers: usize,
-        wall_start: std::time::Instant,
-    ) -> Result<(), SimError> {
-        let pool = WorkerPool::new(workers);
-        let out = self.run_parallel_loop(&pool, wall_start);
-        // Harvest the pool's per-worker host-time lanes before the pool
-        // (and its counters) is dropped. Host observability only.
-        self.hostprof.record_workers(pool.lanes());
-        out
-    }
-
-    /// The decision loop of [`Machine::run_parallel`], split out so the
-    /// pool outlives every early return and its worker lanes can be
-    /// harvested afterwards.
-    fn run_parallel_loop(
-        &mut self,
-        pool: &WorkerPool,
-        wall_start: std::time::Instant,
-    ) -> Result<(), SimError> {
-        let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
-        let lookahead = self.memsys.min_shared_latency();
-        let wall_limit = self.cfg.watchdog.wall_limit;
-        // Per-worker occupancy counters (volatile: host-shaped by
-        // construction, excluded from the policy-stable exports).
-        let busy_ids: Vec<MetricId> = (0..pool.size())
-            .map(|w| {
-                self.telemetry.register_node_volatile(
-                    "sched.worker_busy_ps",
-                    w as u32,
-                    MetricKind::Counter,
-                )
-            })
-            .collect();
-        let mut busy_prev: Vec<u64> = vec![0; pool.size()];
-        let profiles: Vec<ScanProfile> = self.cores.iter().map(|c| c.scan_profile()).collect();
-        let transparent =
-            profiles.iter().all(|p| p.min_ps_per_op > TimeDelta::ZERO) && !self.tracer.is_active();
-        let can_fork = nodes >= 2 && transparent;
-        // Host observability: when forking is off because a profile is
-        // opaque (or a tracer pins the ring order), every serially run
-        // op is a rejected-opaque-profile admission outcome.
-        let opaque_serial = nodes >= 2 && !transparent;
-        let cfg_arc = Arc::new(self.cfg.clone());
-        // See run_reference: continues from restored streams on resume.
-        let mut executed: u64 = self.streams.iter().map(|s| s.consumed()).sum();
-        let mut decisions: u64 = 0;
-        let mut heap = LaggardHeap::new(nodes);
-        for n in 0..nodes {
-            heap.insert(n as u32, self.cores[n].now());
-        }
-        let mut lbs: Vec<Time> = vec![Time::ZERO; nodes];
-        let mut ewma: f64 = FORK_MAX_QUOTA / 2.0;
-        let mut serial_backoff: u32 = 0;
-        loop {
-            // Refresh the live per-worker occupancy snapshot in place
-            // (no allocation on the decision path).
-            self.worker_busy_lanes.resize(pool.size(), 0);
-            let mut busy_total = 0u64;
-            for (w, lane) in self.worker_busy_lanes.iter_mut().enumerate() {
-                *lane = pool.busy_ns(w);
-                busy_total += *lane;
-            }
-            self.worker_busy = Some((pool.size(), busy_total));
-            self.heartbeat_tick(executed);
-            decisions += 1;
-            if let Some(limit) = wall_limit {
-                // Amortized wall-clock check (first decision, then once
-                // per 4096); batches and rounds both bound the time
-                // between decisions.
-                if decisions & 0xFFF == 1 && wall_start.elapsed() >= limit {
-                    return Err(self.timeout_error(wall_start, limit));
-                }
-            }
-            if inject_stalls {
-                for n in 0..nodes {
-                    if self.status[n] == NodeStatus::Running
-                        && self
-                            .injector
-                            .node_stalled(n as u32, self.streams[n].consumed())
-                    {
-                        self.status[n] = NodeStatus::Stalled;
-                        heap.remove(n as u32);
-                    }
-                }
-            }
-
-            if can_fork && serial_backoff == 0 && heap.len() >= 2 {
-                let quota = (2.0 * ewma).clamp(FORK_MIN_QUOTA, FORK_MAX_QUOTA) as u64;
-                // The fork phase cannot consult the global dispatch
-                // counter mid-round, so fork only when the worst case
-                // fits under the watchdog budget — exhaustion then
-                // always surfaces in the serial phase, at the same
-                // dispatch count as under the serial policies.
-                let budget_ok = match self.cfg.watchdog.max_ops {
-                    None => true,
-                    Some(b) => executed + heap.len() as u64 * (quota + 1) <= b,
-                };
-                if budget_ok {
-                    let running = heap.len() as u64;
-                    let decision_at = heap.peek().map_or(Time::ZERO, |(_, t)| t);
-                    let admitted = self.parallel_round(pool, &profiles, &mut lbs, quota, &cfg_arc);
-                    executed += admitted;
-                    self.telemetry.count(self.tel.sched_batches, decision_at, 1);
-                    self.telemetry
-                        .gauge(self.tel.sched_heap, decision_at, running);
-                    self.telemetry
-                        .count(self.tel.sched_batch_ops, decision_at, admitted);
-                    for (w, prev) in busy_prev.iter_mut().enumerate() {
-                        let b = pool.busy_ns(w);
-                        self.telemetry
-                            .count(busy_ids[w], decision_at, (b - *prev) * 1000);
-                        *prev = b;
-                    }
-                    let per_node = admitted as f64 / running.max(1) as f64;
-                    ewma = 0.75 * ewma + 0.25 * per_node;
-                    if per_node < FORK_MIN_YIELD {
-                        serial_backoff = SERIAL_BACKOFF;
-                    }
-                    // The round moved clocks and may have parked nodes.
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
-                    }
-                    continue;
-                }
-            }
-            serial_backoff = serial_backoff.saturating_sub(1);
-
-            // Serial decision, identical to run_batched's.
-            let Some((n, _)) = heap.pop() else {
-                if self.status.iter().all(|s| *s == NodeStatus::Done) {
-                    return Ok(());
-                }
-                if self.status.contains(&NodeStatus::Stalled) {
-                    return Err(self.stall_error(executed));
-                }
-                return Err(SimError::Deadlock {
-                    nodes: self.snapshots(),
-                });
-            };
-            let limit = heap.peek();
-            let decision_at = self.cores[n as usize].now();
-            let ops_before = executed;
-            self.telemetry.count(self.tel.sched_batches, decision_at, 1);
-            self.telemetry
-                .gauge(self.tel.sched_heap, decision_at, heap.len() as u64 + 1);
-            let end = {
-                let _serial = self.hostprof.phase(HostPhase::Serial);
-                self.run_batch(n as usize, limit, lookahead, &mut executed)?
-            };
-            match end {
-                BatchEnd::Reschedule => heap.insert(n, self.cores[n as usize].now()),
-                BatchEnd::Parked => {}
-                BatchEnd::Sync => {
-                    heap.clear();
-                    for m in 0..nodes {
-                        if self.status[m] == NodeStatus::Running {
-                            heap.insert(m as u32, self.cores[m].now());
-                        }
-                    }
-                }
+                // Sync ops can wake any set of parked nodes at new clocks
+                // (barrier release, lock hand-off) or park the executor.
+                BatchEnd::Sync => self.rebuild_heap(&mut heap),
             }
             if opaque_serial {
                 self.hostprof.count_opaque(executed - ops_before);
@@ -2109,7 +1968,6 @@ impl Machine {
         cfg_arc: &Arc<MachineConfig>,
     ) -> u64 {
         let nodes = self.cfg.nodes as usize;
-        let inject_stalls = self.injector.is_active();
         let page_bytes = self.cfg.geometry.page_bytes;
 
         // A cached bound goes stale only when alien coherence touched
@@ -2235,20 +2093,18 @@ impl Machine {
                 let Some(bundle) = slot.bundle.take() else {
                     return;
                 };
-                let (bundle, dispatches, status, stop) = run_fork(
-                    n,
-                    bundle,
-                    horizon,
-                    quota,
-                    profile,
-                    inject_stalls,
-                    &faults,
-                    &pt,
-                    &cfg,
-                    &profiler,
-                    &telemetry,
+                let ctx = NodeCtx {
+                    node: n,
+                    cfg: &cfg,
+                    clock: cfg.cpu.clock(),
+                    profiler,
+                    telemetry,
                     tel,
-                );
+                    // Forked resolution always happens inside a core op.
+                    in_op: true,
+                };
+                let (bundle, dispatches, status, stop) =
+                    run_fork(bundle, ctx, horizon, quota, profile, &faults, &pt);
                 slot.bundle = Some(bundle);
                 slot.dispatches = dispatches;
                 slot.status = status;
@@ -2332,46 +2188,9 @@ impl Machine {
         let inject_stalls = self.injector.is_active();
         let end;
         {
-            // Split borrows: the core is disjoint from the memory state.
             // One environment serves the whole batch — the per-op cost is
             // the loop body, not borrow + Arc traffic.
-            let Machine {
-                cores,
-                mems,
-                memsys,
-                pt,
-                alloc,
-                segments,
-                cfg,
-                tracer,
-                profiler,
-                injector,
-                telemetry,
-                spans,
-                tel,
-                fault,
-                streams,
-                status,
-                ..
-            } = self;
-            let mut env = MachineEnv {
-                node: n,
-                mems,
-                memsys: &mut **memsys,
-                pt,
-                alloc,
-                segments,
-                cfg,
-                clock: cfg.cpu.clock(),
-                tracer: tracer.clone(),
-                faults: injector,
-                profiler: profiler.clone(),
-                telemetry: telemetry.clone(),
-                spans: spans.clone(),
-                tel: *tel,
-                in_op: true,
-                fault,
-            };
+            let (mut env, cores, streams, status) = self.split_env(n, true);
             loop {
                 // (1) The stall sweep the reference loop runs before every
                 // op. Only the executing node's consumed count moves
@@ -2384,23 +2203,18 @@ impl Machine {
                 }
                 // (2) Would the reference scan still pick `n`?
                 let now = cores[n].now();
-                let strict_win = match limit {
-                    None => true,
-                    Some((m, lim)) => (now, n as u32) < (lim, m),
-                };
-                if !strict_win {
-                    // Past the strict win, only node-private ops may run
-                    // (they touch no shared timeline, so they commute
-                    // with the runner-up's ops), and only within the
-                    // conservative lookahead window.
-                    let Some((_, lim)) = limit else {
-                        unreachable!() // gate: allow
-                    };
-                    let overrun_ok = now < lim + lookahead
-                        && streams[n].peek_op().is_some_and(|op| op.class.is_local());
-                    if !overrun_ok {
-                        end = InnerEnd::Reschedule;
-                        break;
+                if let Some((m, lim)) = limit {
+                    if (now, n as u32) >= (lim, m) {
+                        // Past the strict win, only node-private ops may
+                        // run (they touch no shared timeline, so they
+                        // commute with the runner-up's ops), and only
+                        // within the conservative lookahead window.
+                        let overrun_ok = now < lim + lookahead
+                            && streams[n].peek_op().is_some_and(|op| op.class.is_local());
+                        if !overrun_ok {
+                            end = InnerEnd::Reschedule;
+                            break;
+                        }
                     }
                 }
                 // (3) The watchdog budget, checked per dispatch as in the
@@ -2431,7 +2245,7 @@ impl Machine {
                 streams[n].advance();
                 let op_start = cores[n].now();
                 cores[n].execute(&op, &mut env);
-                profiler.mark_op(
+                env.ctx.profiler.mark_op(
                     n as u32,
                     op_start,
                     cores[n].now().saturating_since(op_start),
@@ -2440,17 +2254,7 @@ impl Machine {
                     end = InnerEnd::Fault(e);
                     break;
                 }
-                // OS timer ticks touch only per-node state; charge them
-                // inline exactly as `charge_ticks` would.
-                if let Some(interval) = env.cfg.os.timer_interval {
-                    let now = cores[n].now();
-                    while env.mems[n].next_tick <= now {
-                        env.mems[n].next_tick += interval;
-                        let at = cores[n].now();
-                        profiler.charge_wall(n as u32, StallClass::Os, at, env.cfg.os.timer_cost);
-                        cores[n].set_time(at + env.cfg.os.timer_cost);
-                    }
-                }
+                env.ctx.charge_ticks(&mut *cores[n], &mut env.mems[n]);
             }
         }
         match end {
@@ -2465,6 +2269,53 @@ impl Machine {
                 Ok(BatchEnd::Sync)
             }
         }
+    }
+
+    /// Splits the machine into node `n`'s execution environment and the
+    /// per-node state a schedule drives beside it — cores, streams and
+    /// statuses — as disjoint borrows, so a core can execute against the
+    /// environment. `in_op` as in [`NodeCtx`].
+    fn split_env(&mut self, n: usize, in_op: bool) -> EnvSplit<'_> {
+        let Machine {
+            cores,
+            mems,
+            memsys,
+            pt,
+            alloc,
+            segments,
+            cfg,
+            tracer,
+            profiler,
+            injector,
+            telemetry,
+            spans,
+            tel,
+            fault,
+            streams,
+            status,
+            ..
+        } = self;
+        let env = MachineEnv {
+            ctx: NodeCtx {
+                node: n,
+                cfg,
+                clock: cfg.cpu.clock(),
+                profiler: profiler.clone(),
+                telemetry: telemetry.clone(),
+                tel: *tel,
+                in_op,
+            },
+            mems,
+            memsys: &mut **memsys,
+            pt,
+            alloc,
+            segments,
+            tracer: tracer.clone(),
+            faults: injector,
+            spans: spans.clone(),
+            fault,
+        };
+        (env, cores, streams, status)
     }
 
     /// Per-node state snapshots for failure reports.
@@ -2537,53 +2388,18 @@ impl Machine {
             return self.handle_sync(n, &op);
         }
 
-        // Split borrows: the core is disjoint from the memory state.
-        let Machine {
-            cores,
-            mems,
-            memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            tracer,
-            profiler,
-            injector,
-            telemetry,
-            spans,
-            tel,
-            fault,
-            ..
-        } = self;
-        let mut env = MachineEnv {
-            node: n,
-            mems,
-            memsys: &mut **memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            clock: cfg.cpu.clock(),
-            tracer: tracer.clone(),
-            faults: injector,
-            profiler: profiler.clone(),
-            telemetry: telemetry.clone(),
-            spans: spans.clone(),
-            tel: *tel,
-            in_op: true,
-            fault,
-        };
+        let (mut env, cores, _, _) = self.split_env(n, true);
         let op_start = cores[n].now();
         cores[n].execute(&op, &mut env);
-        profiler.mark_op(
+        env.ctx.profiler.mark_op(
             n as u32,
             op_start,
             cores[n].now().saturating_since(op_start),
         );
-        if let Some(e) = self.fault.take() {
+        if let Some(e) = env.fault.take() {
             return Err(e);
         }
-        self.charge_ticks(n);
+        env.ctx.charge_ticks(&mut *cores[n], &mut env.mems[n]);
         Ok(())
     }
 
@@ -2755,48 +2571,14 @@ impl Machine {
     /// The coherence transaction behind a lock hand-off: the new holder
     /// takes the lock line exclusive.
     fn acquire_lock_line(&mut self, n: usize, addr: VAddr, t: Time) -> Result<(), SimError> {
-        let Machine {
-            mems,
-            memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            cores,
-            tracer,
-            profiler,
-            injector,
-            telemetry,
-            spans,
-            tel,
-            fault,
-            ..
-        } = self;
-        let mut env = MachineEnv {
-            node: n,
-            mems,
-            memsys: &mut **memsys,
-            pt,
-            alloc,
-            segments,
-            cfg,
-            clock: cfg.cpu.clock(),
-            tracer: tracer.clone(),
-            faults: injector,
-            profiler: profiler.clone(),
-            telemetry: telemetry.clone(),
-            spans: spans.clone(),
-            tel: *tel,
-            in_op: false,
-            fault,
-        };
+        let (mut env, cores, _, _) = self.split_env(n, false);
         let res = env.resolve(addr, MemAccessKind::Write, t);
-        if let Some(e) = self.fault.take() {
+        if let Some(e) = env.fault.take() {
             return Err(e);
         }
         // The hand-off's coherence transaction is synchronization cost
         // (minus the TLB refill the environment already charged).
-        profiler.charge_wall(
+        env.ctx.profiler.charge_wall(
             n as u32,
             StallClass::Sync,
             t,

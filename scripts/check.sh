@@ -8,6 +8,12 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --workspace
 
+echo "== perfbench build (benchmark package against the crates' public API) =="
+# perfbench/ is a Cargo package of its own that calls only the crates'
+# public functions; building it here makes a crate API change that
+# breaks the benchmark fail this gate instead of the benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo test -q =="
 cargo test -q --workspace
 

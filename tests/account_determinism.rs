@@ -4,6 +4,9 @@
 //! stall class, and the attribution differ's per-class contributions sum
 //! to the total relative error.
 
+mod common;
+
+use common::platforms;
 use flashsim::attrib::{attribute, run_profiled};
 use flashsim::engine::{Accounting, StallClass};
 use flashsim::machine::MachineConfig;
@@ -20,18 +23,6 @@ fn profiled(cfg: MachineConfig, prog: &dyn Program) -> Accounting {
         .expect("profiled run completes")
         .accounting
         .expect("profiler was attached")
-}
-
-/// Every platform of the study, at a small node count.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
 }
 
 #[test]

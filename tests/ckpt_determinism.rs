@@ -9,40 +9,17 @@
 //! checkpoint that has been corrupted or truncated must be rejected with
 //! a structured error, never mis-restored.
 
+mod common;
+
+use common::{observed, platforms, prog};
 use flashsim::engine::ckpt::{self, CkptError};
-use flashsim::engine::{FaultPlan, SpanPlan, Time, TimeDelta};
+use flashsim::engine::{FaultPlan, Time};
 use flashsim::machine::{
     run_program, Machine, MachineConfig, RestoreError, RunResult, SchedPolicy,
 };
 use flashsim::platform::{MemModel, Sim, Study};
-use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
+use flashsim::workloads::Fft;
 use std::sync::{Arc, Mutex};
-
-/// Every platform family of the study at 2 nodes: the gold-standard
-/// hardware plus each simulator × memory-system combination.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
-}
-
-/// Attaches every optional observer so byte-identity covers stats,
-/// accounting, telemetry, and spans at once.
-fn observed(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.profile = true;
-    cfg.telemetry = Some(TimeDelta::from_ns(500));
-    cfg.spans = Some(SpanPlan::all(7));
-    cfg
-}
-
-fn prog() -> Fft {
-    Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache)
-}
 
 /// Runs with a checkpoint sink attached, returning the result and every
 /// `(seq, text)` checkpoint emitted.

@@ -5,40 +5,23 @@
 //! without it on every simulated observable — stats JSON, accounting,
 //! cycle times, per-node op counts, barrier releases, telemetry JSONL,
 //! span JSONL, and the stream's deterministic event lines — on every
-//! platform, under both the serial Reference policy and the Parallel
-//! policy (where the profiler instruments the fork/join rounds
+//! platform, under the serial Reference and Batched policies and the
+//! Parallel policy (where the profiler instruments the fork/join rounds
 //! themselves).
 
+mod common;
+
+use common::{eq_workers, platforms};
 use flashsim::engine::{stream, SpanPlan, TimeDelta};
-use flashsim::machine::{run_program, MachineConfig, RunResult, SchedPolicy};
+use flashsim::machine::{run_program, RunResult, SchedPolicy};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 
-/// Worker count for the `Parallel` policy under test (same variable the
-/// sched-equivalence suite sweeps in CI).
-fn eq_workers() -> usize {
-    std::env::var("FLASHSIM_EQ_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
-
-/// Every platform of the study, at a small node count.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
-}
-
-/// Both scheduling policies the profiler instruments.
+/// Every scheduling policy the profiler instruments.
 fn policies() -> Vec<(String, SchedPolicy)> {
     vec![
         ("reference".to_owned(), SchedPolicy::Reference),
+        ("batched".to_owned(), SchedPolicy::Batched),
         (
             format!("parallel(workers={})", eq_workers()),
             SchedPolicy::Parallel {

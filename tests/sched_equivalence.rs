@@ -10,22 +10,15 @@
 //! host-side optimizations; nothing about the simulated machine may
 //! move, at any worker count (`FLASHSIM_EQ_WORKERS` sweeps it in CI).
 
+mod common;
+
+use common::{eq_workers, platforms};
 use flashsim::attrib::run_profiled;
-use flashsim::engine::{FaultPlan, SpanPlan, Time, TimeDelta};
+use flashsim::engine::{CategoryMask, FaultPlan, SpanPlan, Time, TimeDelta, Tracer};
 use flashsim::machine::{run_program, Machine, MachineConfig, RunResult, SchedPolicy};
 use flashsim::platform::{MemModel, Sim, Study};
 use flashsim::workloads::{Fft, FftBlocking, ProblemScale, SnCase, Snbench, SyncStorm};
 use std::sync::{Arc, Mutex};
-
-/// Worker count for the `Parallel` policy under test. `scripts/check.sh`
-/// sweeps 1, 2, and 0 (= host parallelism) through this variable; the
-/// default exercises real multi-worker interleavings everywhere.
-fn eq_workers() -> usize {
-    std::env::var("FLASHSIM_EQ_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2)
-}
 
 /// The optimized policies, each proven against `Reference`.
 fn candidates() -> Vec<(String, SchedPolicy)> {
@@ -37,18 +30,6 @@ fn candidates() -> Vec<(String, SchedPolicy)> {
             SchedPolicy::Parallel { workers: w },
         ),
     ]
-}
-
-/// Every platform of the study, at a small node count.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
 }
 
 fn with_policy(mut cfg: MachineConfig, sched: SchedPolicy) -> MachineConfig {
@@ -138,6 +119,41 @@ fn candidates_match_reference_with_profiler_attached() {
                 .expect("candidate run completes");
             assert_identical(&format!("{label}/{pname}"), &c, &r);
         }
+    }
+}
+
+#[test]
+fn traced_parallel_matches_reference_and_traces_like_batched() {
+    // An active tracer keeps the parallel policy from forking (the
+    // ring's insertion order under concurrent emission is not
+    // deterministic), so it runs the serial loop: every observable must
+    // still match Reference, and the exported trace must be
+    // byte-identical to Batched's.
+    let study = Study::scaled();
+    let prog = Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache);
+    let traced = |cfg: MachineConfig| {
+        // Large enough that no platform's run wraps the ring.
+        let tracer = Tracer::new(1 << 20, CategoryMask::ALL);
+        let mut m = Machine::new(cfg, &prog).expect("machine builds");
+        m.attach_tracer(tracer.clone());
+        let result = m.run().expect("traced run completes");
+        (result, tracer.snapshot())
+    };
+    let w = eq_workers();
+    for (label, cfg) in platforms(&study, 2) {
+        let (r, _) = traced(with_policy(cfg.clone(), SchedPolicy::Reference));
+        let (_, batched) = traced(with_policy(cfg.clone(), SchedPolicy::Batched));
+        let (p, parallel) = traced(with_policy(cfg, SchedPolicy::Parallel { workers: w }));
+        assert_identical(&format!("{label}/traced parallel(workers={w})"), &p, &r);
+        assert!(
+            !parallel.events.is_empty() && parallel.dropped == 0,
+            "{label}: the ring must hold the whole run"
+        );
+        assert_eq!(
+            parallel.to_chrome_json(),
+            batched.to_chrome_json(),
+            "{label}: traced parallel(workers={w}) must trace byte-identically to batched"
+        );
     }
 }
 

@@ -10,38 +10,15 @@
 //! Advisory `progress` events are wall-clock-driven and excluded from
 //! every comparison here, exactly as the protocol specifies.
 
+mod common;
+
+use common::{observed, platforms, prog};
 use flashsim::engine::stream::{self, MemorySink};
-use flashsim::engine::{SpanPlan, Time, TimeDelta};
+use flashsim::engine::Time;
 use flashsim::machine::{Machine, MachineConfig, SchedPolicy};
 use flashsim::platform::{MemModel, Sim, Study};
-use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
+use flashsim::workloads::Fft;
 use std::sync::{Arc, Mutex};
-
-/// Every platform family of the study at 2 nodes.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
-}
-
-/// Attaches telemetry + profiling so the stream carries bucket values
-/// and per-class accounting deltas, plus spans to prove unrelated
-/// observers do not perturb the stream.
-fn observed(mut cfg: MachineConfig) -> MachineConfig {
-    cfg.profile = true;
-    cfg.telemetry = Some(TimeDelta::from_ns(500));
-    cfg.spans = Some(SpanPlan::all(7));
-    cfg
-}
-
-fn prog() -> Fft {
-    Fft::sized(ProblemScale::Tiny, 2, FftBlocking::Cache)
-}
 
 /// Runs to completion with a memory stream sink attached, returning
 /// the captured stream text.

@@ -5,6 +5,9 @@
 //! volatile and excluded), and every occupancy integrator conserves
 //! exactly in integer picoseconds.
 
+mod common;
+
+use common::platforms;
 use flashsim::engine::telemetry::validate_jsonl;
 use flashsim::engine::TimeDelta;
 use flashsim::machine::{run_program, MachineConfig, RunResult, SchedPolicy};
@@ -13,18 +16,6 @@ use flashsim::workloads::{Fft, FftBlocking, ProblemScale};
 
 fn fft(threads: usize) -> Fft {
     Fft::sized(ProblemScale::Tiny, threads, FftBlocking::Cache)
-}
-
-/// Every platform of the study, at a small node count.
-fn platforms(study: &Study, nodes: u32) -> Vec<(String, MachineConfig)> {
-    let mut out = vec![("hardware".to_owned(), study.hardware(nodes))];
-    for sim in [Sim::SimosMipsy(150), Sim::SoloMipsy(150), Sim::SimosMxs] {
-        for mem in [MemModel::FlashLite, MemModel::Numa] {
-            let cfg = study.sim(sim, nodes, mem);
-            out.push((cfg.label(), cfg));
-        }
-    }
-    out
 }
 
 fn run_with_telemetry(mut cfg: MachineConfig) -> RunResult {
