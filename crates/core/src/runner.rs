@@ -243,7 +243,7 @@ pub fn speedup(t1: TimeDelta, tp: TimeDelta) -> f64 {
 /// collects results in input order.
 ///
 /// The batch is fed through the engine's shared
-/// [`WorkerPool`](flashsim_engine::pool::WorkerPool) scheduling
+/// [`WorkerPool`] scheduling
 /// substrate (scoped flavor, so jobs may borrow the caller's state) —
 /// the same per-worker queues and work stealing the machine's parallel
 /// scheduling policy runs on. It is sized `min(available_parallelism,

@@ -89,7 +89,7 @@ pub struct ScanProfile {
     /// degrades to serial execution for this core (always sound).
     pub min_ps_per_op: TimeDelta,
     /// Whether executing a memory-class op calls
-    /// [`MemEnv::resolve`](MemEnv::resolve). Functional models that
+    /// [`MemEnv::resolve`]. Functional models that
     /// never touch the environment (Embra) report `false`, making every
     /// non-sync op private to the node.
     pub resolves_memory: bool,

@@ -521,7 +521,7 @@ impl HostReport {
 
     /// Splices the recorded host phase segments into an existing
     /// Chrome-trace JSON (as produced by
-    /// [`crate::trace::to_chrome_json`]): host lanes appear as complete
+    /// [`crate::trace::Trace::to_chrome_json`]): host lanes appear as complete
     /// events under `pid` 1 so sim spans and host phases open in one
     /// viewer. Timestamps are microseconds from the run-window start
     /// (the sim timeline keeps its own simulated-time base). Returns the

@@ -490,8 +490,8 @@ struct Build {
     txn: SpanTxn,
     stack: Vec<Frame>,
     /// Depth of enclosing off-path subtrees; while > 0, leg charges are
-    /// recorded as `ZERO` (the model restores its accumulators around
-    /// this work, so charging it would double-count).
+    /// recorded as `ZERO` (the model does not charge this work to the
+    /// transaction, so charging it here would double-count).
     offpath: u32,
 }
 
@@ -641,8 +641,8 @@ impl SpanTracer {
     }
 
     /// Opens a structural span whose *descendants* are off the critical
-    /// path: their charges are recorded as zero because the model
-    /// restores its accumulators around this (overlapped) work. The span
+    /// path: their charges are recorded as zero because the model does
+    /// not charge this (overlapped) work to the transaction. The span
     /// itself may still carry a charge at [`end`](SpanTracer::end) — an
     /// upgrade's invalidation round is charged wholesale even though its
     /// per-sharer legs are not.

@@ -10,7 +10,8 @@
 //!
 //! Concretely, relative to FlashLite this model:
 //!
-//! - runs the **same directory protocol** (state transitions are identical),
+//! - runs the **same coherence walk** (identical directory transitions,
+//!   requests, interventions and replies),
 //! - charges **pure latency** for every controller handler and network hop
 //!   (no occupancy timelines → a hotspot home node never queues),
 //! - *does* model **memory-bank contention** (an occupancy pool), per the
@@ -43,15 +44,11 @@
 use flashsim_engine::ckpt::{CkptError, CkptReader, CkptWriter};
 use flashsim_engine::{
     MetricId, MetricKind, ResourcePool, SpanClass, SpanTracer, StatSet, Telemetry, Time, TimeDelta,
-    TraceCategory, Tracer,
+    Tracer,
 };
-use flashsim_mem::system::{
-    AccessKind, CoherenceActions, LatencyBreakdown, MemOutcome, MemRequest, MemorySystem, NodeId,
-    ProtocolCase,
-};
+use flashsim_mem::system::{MemOutcome, MemRequest, MemorySystem, NodeId};
 use flashsim_mem::LineAddr;
-use flashsim_proto::{classify_read, DataSource, Directory};
-use std::collections::BTreeMap;
+use flashsim_proto::{Coherence, CostModel, DirMetrics, Handler, Msg, ProcessorLatency};
 
 /// Latency constants for the NUMA model.
 ///
@@ -123,20 +120,18 @@ impl NumaParams {
 /// The generic latency-only NUMA memory system.
 #[derive(Debug)]
 pub struct Numa {
+    proto: Coherence<LatencyOnly>,
+}
+
+/// NUMA's cost model: every handler and network hop is a fixed latency,
+/// and only the memory banks are an occupancy resource.
+#[derive(Debug)]
+struct LatencyOnly {
     params: NumaParams,
-    node_mem_bytes: u64,
-    nodes: u32,
-    dirs: Vec<Directory>,
     mem: Vec<ResourcePool>,
-    case_counts: BTreeMap<ProtocolCase, u64>,
-    case_latency_ns: BTreeMap<ProtocolCase, f64>,
-    tracer: Tracer,
     telemetry: Telemetry,
     spans: SpanTracer,
-    tel_pool: MetricId,
-    tel_reclaims: MetricId,
     tel_bank_wait: MetricId,
-    tel_pool_node: Vec<MetricId>,
 }
 
 impl Numa {
@@ -149,50 +144,67 @@ impl Numa {
     /// Panics if `nodes` is zero.
     pub fn new(nodes: u32, node_mem_bytes: u64, params: NumaParams) -> Numa {
         assert!(nodes > 0, "need at least one node");
-        Numa {
+        let latency = LatencyOnly {
             params,
-            node_mem_bytes,
-            nodes,
-            dirs: (0..nodes)
-                .map(|_| Directory::new(params.dir_pool))
-                .collect(),
             mem: (0..nodes)
                 .map(|_| ResourcePool::new("mem-banks", params.mem_banks))
                 .collect(),
-            case_counts: BTreeMap::new(),
-            case_latency_ns: BTreeMap::new(),
-            tracer: Tracer::disabled(),
             telemetry: Telemetry::disabled(),
             spans: SpanTracer::disabled(),
-            tel_pool: MetricId::NONE,
-            tel_reclaims: MetricId::NONE,
             tel_bank_wait: MetricId::NONE,
-            tel_pool_node: Vec::new(),
+        };
+        let processor = ProcessorLatency {
+            miss_detect: params.miss_detect,
+            intervention: params.proc_intervention,
+            reply_fill: params.reply_fill,
+        };
+        Numa {
+            proto: Coherence::new(nodes, node_mem_bytes, params.dir_pool, processor, latency),
         }
     }
+}
 
-    /// Current parameters.
-    pub fn params(&self) -> &NumaParams {
-        &self.params
-    }
-
-    fn hops(&self, a: NodeId, b: NodeId) -> u32 {
-        (a ^ b).count_ones()
-    }
-
-    fn net(&self, a: NodeId, b: NodeId, data: bool) -> TimeDelta {
+impl LatencyOnly {
+    fn net(&self, a: NodeId, b: NodeId, msg: Msg) -> TimeDelta {
         if a == b {
             return TimeDelta::ZERO;
         }
-        let base = self.params.hop_latency * u64::from(self.hops(a, b));
-        if data {
-            base + self.params.data_transfer
-        } else {
-            base
+        let base = self.params.hop_latency * u64::from((a ^ b).count_ones());
+        match msg {
+            Msg::Header => base,
+            Msg::Data => base + self.params.data_transfer,
         }
     }
+}
 
-    fn mem_acquire(&mut self, node: NodeId, t: Time) -> Time {
+impl CostModel for LatencyOnly {
+    /// Controller and directory handler delays are occupancy: the same
+    /// work FlashLite queues on, which here never queues — exactly the
+    /// difference the attribution differ should expose.
+    fn handler(&mut self, h: Handler, node: NodeId, t: Time) -> Time {
+        let p = &self.params;
+        let (kind, d) = match h {
+            Handler::Request => ("ctrl_request", p.ctrl_request),
+            Handler::Dir { local: true } => ("dir_lookup", p.dir_local),
+            Handler::Dir { local: false } => ("dir_lookup", p.dir_remote),
+            Handler::Out => ("ctrl_out", p.ctrl_out),
+            Handler::Reply => ("ctrl_reply", p.ctrl_reply),
+            Handler::Intervention => ("ctrl_intervention", p.ctrl_intervention),
+            Handler::DirtyExtra => ("dirty_extra", p.dirty_extra),
+        };
+        self.spans
+            .leg(kind, node, t, t + d, Some(SpanClass::Occupancy), d);
+        t + d
+    }
+
+    fn send(&mut self, from: NodeId, to: NodeId, msg: Msg, t: Time) -> Time {
+        let d = self.net(from, to, msg);
+        self.spans
+            .leg("net", from, t, t + d, Some(SpanClass::Network), d);
+        t + d
+    }
+
+    fn memory(&mut self, node: NodeId, t: Time) -> Time {
         let grant = self.mem[node as usize].acquire(t, self.params.mem_busy);
         self.telemetry
             .count(self.tel_bank_wait, grant.start, grant.wait.as_ps());
@@ -202,425 +214,54 @@ impl Numa {
         done
     }
 
-    /// Span-only helper: a pure-latency leg covering `[t, t + d]`.
-    fn span_leg(
-        &mut self,
-        kind: &'static str,
-        node: NodeId,
-        t: Time,
-        d: TimeDelta,
-        class: SpanClass,
-    ) -> Time {
-        let end = t + d;
-        self.spans.leg(kind, node, t, end, Some(class), d);
-        end
+    fn writeback_arrival(&mut self, node: NodeId, home: NodeId, t: Time) -> Time {
+        t + self.params.ctrl_request + self.net(node, home, Msg::Data)
     }
 
-    fn record(
-        &mut self,
-        case: ProtocolCase,
-        requester: NodeId,
-        home: NodeId,
-        done_at: Time,
-        latency: TimeDelta,
-    ) {
-        *self.case_counts.entry(case).or_insert(0) += 1;
-        *self.case_latency_ns.entry(case).or_insert(0.0) += latency.as_ns_f64();
-        if self.tracer.enabled(TraceCategory::Proto) {
-            self.tracer.emit(
-                done_at,
-                TraceCategory::Proto,
-                case.key(),
-                requester,
-                latency.as_ps(),
-                home as u64,
-            );
-        }
+    fn attach_telemetry(&mut self, telemetry: &Telemetry, dir: &mut DirMetrics) {
+        // Deliberately NO `magic.queue_ps` registration: this model has
+        // no controller inbound queue to measure. Its absence from the
+        // telemetry series is the paper's omitted-queueing signature
+        // (asserted by `tests/telemetry_hotspot.rs`).
+        dir.register(telemetry);
+        self.tel_bank_wait = telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
+        // Per-home-node pool variants (bounded cardinality, as FlashLite).
+        dir.register_nodes(telemetry, |_| {});
+        self.telemetry = telemetry.clone();
     }
 
-    /// Mean demand latency observed for `case`, if any occurred.
-    pub fn mean_latency_ns(&self, case: ProtocolCase) -> Option<f64> {
-        let n = *self.case_counts.get(&case)? as f64;
-        Some(self.case_latency_ns.get(&case).copied().unwrap_or(0.0) / n)
-    }
-
-    fn demand_read(&mut self, req: MemRequest, exclusive_intent: bool) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-
-        // Latency decomposition for cycle accounting: controller/directory
-        // handler delays are occupancy (the same work FlashLite queues on;
-        // here it never queues, which is exactly the difference the
-        // attribution differ should expose), `net` legs are network, and
-        // miss detection / DRAM / reply fill land in the memory remainder.
-        let mut occ = p.ctrl_request;
-        let mut net_d = TimeDelta::ZERO;
-
-        let mut t = self.span_leg(
-            "miss_detect",
-            requester,
-            req.now,
-            p.miss_detect,
-            SpanClass::Memory,
-        );
-        t = self.span_leg(
-            "ctrl_request",
-            requester,
-            t,
-            p.ctrl_request,
-            SpanClass::Occupancy,
-        );
-        if requester != home {
-            let leg = self.net(requester, home, false);
-            t = self.span_leg("ctrl_out", requester, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", requester, t, leg, SpanClass::Network);
-            t = self.span_leg("dir_lookup", home, t, p.dir_remote, SpanClass::Occupancy);
-            occ += p.ctrl_out + p.dir_remote;
-            net_d += leg;
-        } else {
-            t = self.span_leg("dir_lookup", home, t, p.dir_local, SpanClass::Occupancy);
-            occ += p.dir_local;
-        }
-
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = if exclusive_intent {
-            self.dirs[home as usize].read_exclusive(req.line, requester)
-        } else {
-            self.dirs[home as usize].read(req.line, requester)
-        };
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        let case = classify_read(requester, home, resp.source);
-
-        // Invalidation round trips, pure latency.
-        let mut ack_done = t;
-        if !resp.invalidate.is_empty() {
-            self.spans.begin_offpath("inval_round", home, t);
-            for &v in &resp.invalidate {
-                let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-                tv = self.span_leg(
-                    "net",
-                    home,
-                    tv,
-                    self.net(home, v, false),
-                    SpanClass::Network,
-                );
-                tv = self.span_leg(
-                    "ctrl_intervention",
-                    v,
-                    tv,
-                    p.ctrl_intervention,
-                    SpanClass::Occupancy,
-                );
-                tv = self.span_leg("net", v, tv, self.net(v, home, false), SpanClass::Network);
-                ack_done = ack_done.max(tv);
-            }
-            self.spans.end(ack_done, None, TimeDelta::ZERO);
-        }
-
-        let mut data_t = match resp.source {
-            DataSource::Memory => {
-                let ready = self.mem_acquire(home, t);
-                if requester != home {
-                    let leg = self.net(home, requester, true);
-                    occ += p.ctrl_out + p.ctrl_reply;
-                    net_d += leg;
-                    let co =
-                        self.span_leg("ctrl_out", home, ready, p.ctrl_out, SpanClass::Occupancy);
-                    let nt = self.span_leg("net", home, co, leg, SpanClass::Network);
-                    self.span_leg(
-                        "ctrl_reply",
-                        requester,
-                        nt,
-                        p.ctrl_reply,
-                        SpanClass::Occupancy,
-                    )
-                } else {
-                    ready
-                }
-            }
-            DataSource::Owner(owner) => {
-                let mut dt =
-                    self.span_leg("dirty_extra", home, t, p.dirty_extra, SpanClass::Occupancy);
-                occ += p.dirty_extra;
-                if owner != home {
-                    let leg = self.net(home, owner, false);
-                    dt = self.span_leg("ctrl_out", home, dt, p.ctrl_out, SpanClass::Occupancy);
-                    dt = self.span_leg("net", home, dt, leg, SpanClass::Network);
-                    occ += p.ctrl_out;
-                    net_d += leg;
-                }
-                dt = self.span_leg(
-                    "ctrl_intervention",
-                    owner,
-                    dt,
-                    p.ctrl_intervention,
-                    SpanClass::Occupancy,
-                );
-                dt = self.span_leg(
-                    "proc_intervention",
-                    owner,
-                    dt,
-                    p.proc_intervention,
-                    SpanClass::Memory,
-                );
-                occ += p.ctrl_intervention;
-                if owner != requester {
-                    let leg = self.net(owner, requester, true);
-                    dt = self.span_leg("ctrl_out", owner, dt, p.ctrl_out, SpanClass::Occupancy);
-                    dt = self.span_leg("net", owner, dt, leg, SpanClass::Network);
-                    dt = self.span_leg(
-                        "ctrl_reply",
-                        requester,
-                        dt,
-                        p.ctrl_reply,
-                        SpanClass::Occupancy,
-                    );
-                    occ += p.ctrl_out + p.ctrl_reply;
-                    net_d += leg;
-                }
-                dt
-            }
-        };
-
-        // Invalidation time the data path did not hide is exposed
-        // directory work: occupancy.
-        if ack_done > data_t {
-            occ += ack_done - data_t;
-            self.spans.leg(
-                "exposed_inval",
-                home,
-                data_t,
-                ack_done,
-                Some(SpanClass::Occupancy),
-                ack_done - data_t,
-            );
-        }
-        data_t = data_t.max(ack_done);
-        let done_at = self.span_leg(
-            "reply_fill",
-            requester,
-            data_t,
-            p.reply_fill,
-            SpanClass::Memory,
-        );
-        self.record(case, requester, home, done_at, done_at - req.now);
-        let total = done_at - req.now;
-        let occupancy = occ.min(total);
-        let network = net_d.min(total.saturating_sub(occupancy));
-        MemOutcome {
-            done_at,
-            case,
-            exclusive: resp.exclusive,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: LatencyBreakdown {
-                occupancy,
-                network,
-                memory: total.saturating_sub(occupancy + network),
-            },
-        }
-    }
-
-    fn upgrade(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let requester = req.node;
-        let p = self.params;
-        let mut occ = p.ctrl_request;
-        let mut net_d = TimeDelta::ZERO;
-        let mut t = self.span_leg(
-            "miss_detect",
-            requester,
-            req.now,
-            p.miss_detect,
-            SpanClass::Memory,
-        );
-        t = self.span_leg(
-            "ctrl_request",
-            requester,
-            t,
-            p.ctrl_request,
-            SpanClass::Occupancy,
-        );
-        if requester != home {
-            let leg = self.net(requester, home, false);
-            t = self.span_leg("ctrl_out", requester, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", requester, t, leg, SpanClass::Network);
-            t = self.span_leg("dir_lookup", home, t, p.dir_remote, SpanClass::Occupancy);
-            occ += p.ctrl_out + p.dir_remote;
-            net_d += leg;
-        } else {
-            t = self.span_leg("dir_lookup", home, t, p.dir_local, SpanClass::Occupancy);
-            occ += p.dir_local;
-        }
-        let reclaims_before = self.dirs[home as usize].reclaims();
-        let resp = self.dirs[home as usize].upgrade(req.line, requester);
-        let dir_occ = self.dirs[home as usize].occupancy_sample();
-        self.telemetry
-            .gauge(self.tel_pool, t, u64::from(dir_occ.used));
-        if let Some(&id) = self.tel_pool_node.get(home as usize) {
-            self.telemetry.gauge(id, t, u64::from(dir_occ.used));
-        }
-        self.telemetry
-            .count(self.tel_reclaims, t, dir_occ.reclaims - reclaims_before);
-        let mut ack_done = t;
-        self.spans.begin_offpath("inval_round", home, t);
-        for &v in &resp.invalidate {
-            let mut tv = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-            tv = self.span_leg(
-                "net",
-                home,
-                tv,
-                self.net(home, v, false),
-                SpanClass::Network,
-            );
-            tv = self.span_leg(
-                "ctrl_intervention",
-                v,
-                tv,
-                p.ctrl_intervention,
-                SpanClass::Occupancy,
-            );
-            tv = self.span_leg("net", v, tv, self.net(v, home, false), SpanClass::Network);
-            ack_done = ack_done.max(tv);
-        }
-        // The invalidation round is the upgrade's critical path: charged
-        // wholesale as directory occupancy (legs run in parallel, so
-        // per-leg itemization would over-count). The round's span carries
-        // the wholesale charge; its legs are zero-charged.
-        self.spans
-            .end(ack_done, Some(SpanClass::Occupancy), ack_done - t);
-        occ += ack_done - t;
-        let mut t = ack_done;
-        if requester != home {
-            let leg = self.net(home, requester, false);
-            t = self.span_leg("ctrl_out", home, t, p.ctrl_out, SpanClass::Occupancy);
-            t = self.span_leg("net", home, t, leg, SpanClass::Network);
-            t = self.span_leg(
-                "ctrl_reply",
-                requester,
-                t,
-                p.ctrl_reply,
-                SpanClass::Occupancy,
-            );
-            occ += p.ctrl_out + p.ctrl_reply;
-            net_d += leg;
-        }
-        let done_at = self.span_leg("reply_fill", requester, t, p.reply_fill, SpanClass::Memory);
-        self.record(
-            ProtocolCase::UpgradeOwnership,
-            requester,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        let total = done_at - req.now;
-        let occupancy = occ.min(total);
-        let network = net_d.min(total.saturating_sub(occupancy));
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::UpgradeOwnership,
-            exclusive: true,
-            actions: CoherenceActions {
-                invalidate: resp.invalidate,
-                downgrade: resp.downgrade,
-            },
-            breakdown: LatencyBreakdown {
-                occupancy,
-                network,
-                memory: total.saturating_sub(occupancy + network),
-            },
-        }
-    }
-
-    fn writeback(&mut self, req: MemRequest) -> MemOutcome {
-        let home = self.home_of(req.line);
-        let p = self.params;
-        let t = req.now + p.ctrl_request + self.net(req.node, home, true);
-        let done_at = self.mem_acquire(home, t);
-        self.dirs[home as usize].writeback(req.line, req.node);
-        self.record(
-            ProtocolCase::WritebackCase,
-            req.node,
-            home,
-            done_at,
-            done_at - req.now,
-        );
-        MemOutcome {
-            done_at,
-            case: ProtocolCase::WritebackCase,
-            exclusive: false,
-            actions: CoherenceActions::none(),
-            // Writebacks never stall the processor; nothing is charged.
-            breakdown: LatencyBreakdown::default(),
-        }
+    fn attach_spans(&mut self, spans: &SpanTracer) {
+        self.spans = spans.clone();
     }
 }
 
 impl MemorySystem for Numa {
     fn access(&mut self, req: MemRequest) -> MemOutcome {
-        match req.kind {
-            AccessKind::ReadShared => self.demand_read(req, false),
-            AccessKind::ReadExclusive => self.demand_read(req, true),
-            AccessKind::Upgrade => self.upgrade(req),
-            AccessKind::Writeback => self.writeback(req),
-        }
+        self.proto.access(req)
     }
 
     fn home_of(&self, line: LineAddr) -> NodeId {
-        ((line.get() / self.node_mem_bytes) as u32).min(self.nodes - 1)
+        self.proto.home_of(line)
     }
 
     fn stats(&self) -> StatSet {
-        let mut s = StatSet::new();
-        for (case, count) in &self.case_counts {
-            s.set(format!("proto.{}.count", case.key()), *count as f64);
-            if let Some(mean) = self.mean_latency_ns(*case) {
-                s.set(format!("proto.{}.mean_ns", case.key()), mean);
-            }
-        }
-        let mem_wait: f64 = self.mem.iter().map(|m| m.wait_total().as_ns_f64()).sum();
+        let mut s = self.proto.stats();
+        let mem = &self.proto.cost.mem;
+        let mem_wait: f64 = mem.iter().map(|m| m.wait_total().as_ns_f64()).sum();
         s.set("mem.bank_wait_ns", mem_wait);
         s
     }
 
     fn attach_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+        self.proto.attach_tracer(tracer);
     }
 
     fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        // Deliberately NO `magic.queue_ps` registration: this model has
-        // no controller inbound queue to measure. Its absence from the
-        // telemetry series is the paper's omitted-queueing signature
-        // (asserted by `tests/telemetry_hotspot.rs`).
-        self.tel_pool = telemetry.register("proto.dir_pool_used", MetricKind::Gauge);
-        self.tel_reclaims = telemetry.register("proto.dir_reclaims", MetricKind::Counter);
-        self.tel_bank_wait = telemetry.register("mem.bank_wait_ps", MetricKind::Counter);
-        // Per-home-node pool variants (bounded cardinality, as FlashLite).
-        self.tel_pool_node.clear();
-        if self.nodes <= 64 {
-            for n in 0..self.nodes {
-                self.tel_pool_node.push(telemetry.register_node(
-                    "proto.dir_pool_used",
-                    n,
-                    MetricKind::Gauge,
-                ));
-            }
-        }
-        self.telemetry = telemetry;
+        self.proto.attach_telemetry(telemetry);
     }
 
     fn attach_spans(&mut self, spans: SpanTracer) {
-        self.spans = spans;
+        self.proto.attach_spans(spans);
     }
 
     fn model_name(&self) -> &'static str {
@@ -628,48 +269,15 @@ impl MemorySystem for Numa {
     }
 
     fn save_ckpt(&self, w: &mut CkptWriter) {
-        w.u64s("shape", &[u64::from(self.nodes), self.node_mem_bytes]);
-        w.u64("cases", self.case_counts.len() as u64);
-        for (case, count) in &self.case_counts {
-            w.str("case", case.key());
-            w.u64("count", *count);
-            w.f64(
-                "latency_ns",
-                self.case_latency_ns.get(case).copied().unwrap_or(0.0),
-            );
-        }
-        for dir in &self.dirs {
-            dir.save_ckpt(w);
-        }
-        for m in &self.mem {
+        self.proto.save_ckpt(w, |_, _| {});
+        for m in &self.proto.cost.mem {
             m.save_ckpt(w);
         }
     }
 
     fn load_ckpt(&mut self, r: &mut CkptReader<'_>) -> Result<(), CkptError> {
-        let shape = r.u64s("shape")?;
-        if shape != [u64::from(self.nodes), self.node_mem_bytes] {
-            return Err(CkptError::Parse {
-                key: "shape".to_string(),
-                value: format!("{shape:?}"),
-            });
-        }
-        self.case_counts.clear();
-        self.case_latency_ns.clear();
-        let cases = r.u64("cases")?;
-        for _ in 0..cases {
-            let key = r.str_field("case")?;
-            let case = ProtocolCase::from_key(&key).ok_or_else(|| CkptError::Parse {
-                key: "case".to_string(),
-                value: key.clone(),
-            })?;
-            self.case_counts.insert(case, r.u64("count")?);
-            self.case_latency_ns.insert(case, r.f64("latency_ns")?);
-        }
-        for dir in self.dirs.iter_mut() {
-            dir.load_ckpt(r)?;
-        }
-        for m in self.mem.iter_mut() {
+        self.proto.load_ckpt(r, |_, _| Ok(()))?;
+        for m in self.proto.cost.mem.iter_mut() {
             m.load_ckpt(r)?;
         }
         Ok(())
@@ -678,7 +286,7 @@ impl MemorySystem for Numa {
     fn min_shared_latency(&self) -> TimeDelta {
         // Cheapest demand transaction: miss detection + controller decode
         // + local directory lookup, all unconditionally on the path.
-        let p = &self.params;
+        let p = &self.proto.cost.params;
         p.miss_detect + p.ctrl_request + p.dir_local
     }
 }
@@ -686,6 +294,7 @@ impl MemorySystem for Numa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flashsim_mem::system::{AccessKind, ProtocolCase};
 
     fn numa(nodes: u32) -> Numa {
         Numa::new(nodes, 1 << 24, NumaParams::matched())

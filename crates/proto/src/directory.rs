@@ -79,6 +79,19 @@ pub struct DirResponse {
     pub downgrade: Option<NodeId>,
 }
 
+impl DirResponse {
+    /// Home memory serves a requester that becomes the only holder, after
+    /// `invalidate` drop their copies.
+    fn from_memory(invalidate: Vec<NodeId>) -> DirResponse {
+        DirResponse {
+            source: DataSource::Memory,
+            exclusive: true,
+            invalidate,
+            downgrade: None,
+        }
+    }
+}
+
 /// A telemetry-oriented snapshot of a directory's pointer-pool state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DirOccupancy {
@@ -125,11 +138,6 @@ impl Directory {
     /// Pointer-store slots currently in use.
     pub fn pool_used(&self) -> u32 {
         self.pool_used
-    }
-
-    /// Pointer-store capacity this directory was built with.
-    pub fn pool_capacity(&self) -> u32 {
-        self.pool_capacity
     }
 
     /// One coherent view of the pointer-pool state (fill, capacity,
@@ -225,37 +233,41 @@ impl Directory {
         victim.filter(|v| *v != node)
     }
 
+    /// Records `node` as the line's only holder.
+    fn own(&mut self, line: LineAddr, node: NodeId) {
+        self.headers.insert(
+            line,
+            Header {
+                state: DirState::Owned,
+                head: node,
+                list: None,
+            },
+        );
+    }
+
+    /// Hands a Shared line to `requester` exclusively: every other
+    /// sharer is invalidated and the pointer list freed.
+    fn take_shared(&mut self, line: LineAddr, h: &Header, requester: NodeId) -> DirResponse {
+        let sharers = self.collect_sharers(h);
+        self.free_list(h.list);
+        self.own(line, requester);
+        DirResponse::from_memory(sharers.into_iter().filter(|n| *n != requester).collect())
+    }
+
     /// A read-shared request from `requester` for a line homed here.
     pub fn read(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
         match self.headers.get(&line).cloned() {
             None => {
                 // Uncached: grant exclusive-clean (MESI E), track as owned.
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory,
-                    exclusive: true,
-                    invalidate: Vec::new(),
-                    downgrade: None,
-                }
+                self.own(line, requester);
+                DirResponse::from_memory(Vec::new())
             }
             Some(h) if h.state == DirState::Owned => {
                 let owner = h.head;
                 if owner == requester {
                     // Owner silently dropped a clean-exclusive line and is
                     // re-reading: memory is current, stay owned.
-                    return DirResponse {
-                        source: DataSource::Memory,
-                        exclusive: true,
-                        invalidate: Vec::new(),
-                        downgrade: None,
-                    };
+                    return DirResponse::from_memory(Vec::new());
                 }
                 // Dirty intervention: owner supplies data and is downgraded;
                 // line becomes shared by {owner, requester}.
@@ -302,38 +314,14 @@ impl Directory {
     pub fn read_exclusive(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
         match self.headers.get(&line).cloned() {
             None => {
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory,
-                    exclusive: true,
-                    invalidate: Vec::new(),
-                    downgrade: None,
-                }
+                self.own(line, requester);
+                DirResponse::from_memory(Vec::new())
             }
             Some(h) if h.state == DirState::Owned => {
                 let owner = h.head;
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
+                self.own(line, requester);
                 if owner == requester {
-                    DirResponse {
-                        source: DataSource::Memory,
-                        exclusive: true,
-                        invalidate: Vec::new(),
-                        downgrade: None,
-                    }
+                    DirResponse::from_memory(Vec::new())
                 } else {
                     DirResponse {
                         source: DataSource::Owner(owner),
@@ -343,24 +331,7 @@ impl Directory {
                     }
                 }
             }
-            Some(h) => {
-                let sharers = self.collect_sharers(&h);
-                self.free_list(h.list);
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory,
-                    exclusive: true,
-                    invalidate: sharers.into_iter().filter(|n| *n != requester).collect(),
-                    downgrade: None,
-                }
-            }
+            Some(h) => self.take_shared(line, &h, requester),
         }
     }
 
@@ -370,23 +341,9 @@ impl Directory {
     /// `source` indicates the data transfer that must happen.
     pub fn upgrade(&mut self, line: LineAddr, requester: NodeId) -> DirResponse {
         match self.headers.get(&line).cloned() {
+            // No data actually moves: the requester holds the line.
             Some(h) if h.state == DirState::Shared && self.sharer_listed(&h, requester) => {
-                let sharers = self.collect_sharers(&h);
-                self.free_list(h.list);
-                self.headers.insert(
-                    line,
-                    Header {
-                        state: DirState::Owned,
-                        head: requester,
-                        list: None,
-                    },
-                );
-                DirResponse {
-                    source: DataSource::Memory, // no data actually moves
-                    exclusive: true,
-                    invalidate: sharers.into_iter().filter(|n| *n != requester).collect(),
-                    downgrade: None,
-                }
+                self.take_shared(line, &h, requester)
             }
             _ => self.read_exclusive(line, requester),
         }

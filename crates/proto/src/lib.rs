@@ -1,11 +1,11 @@
 //! `flashsim-proto` — the FLASH cache-coherence protocol: a dynamic-
-//! pointer-allocation directory and the classification of transactions
-//! into the paper's protocol cases.
+//! pointer-allocation directory, the classification of transactions
+//! into the paper's protocol cases, and the coherence transaction walk.
 //!
 //! Both memory-system models (FlashLite and the generic NUMA model) run
 //! *this same protocol* — only their timing differs — mirroring the paper's
 //! setup where FlashLite and the hardware execute the identical protocol
-//! sources.
+//! sources. Each model is a [`CostModel`] under the one [`Coherence`] walk.
 //!
 //! # Examples
 //!
@@ -26,8 +26,10 @@
 #![warn(missing_docs)]
 
 pub mod directory;
+pub mod walk;
 
 pub use directory::{DataSource, DirOccupancy, DirResponse, Directory};
+pub use walk::{Coherence, CostModel, DirMetrics, Handler, Msg, ProcessorLatency};
 
 use flashsim_mem::system::{NodeId, ProtocolCase};
 

@@ -33,6 +33,9 @@ cargo fmt --all -- --check
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (broken or redundant doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== panic/unwrap/expect/unreachable + unsafe-concurrency gate (library crates) =="
 # Library code must fail structurally (SimError), not panic: reject
 # panic!/.unwrap()/.expect(/unreachable! outside #[cfg(test)] regions.

@@ -9,7 +9,7 @@
 
 use flashsim::engine::span::{kinds_only_in, validate_jsonl};
 use flashsim::engine::{
-    CategoryMask, SpanPlan, SpanSet, SpanTracer, Time, TimeDelta, TraceCategory, Tracer,
+    CategoryMask, SpanPlan, SpanSet, SpanTracer, SpanTxn, Time, TimeDelta, TraceCategory, Tracer,
 };
 use flashsim::flashlite::{FlashLite, FlashLiteParams};
 use flashsim::machine::{run_program, Machine, SchedPolicy};
@@ -54,9 +54,10 @@ fn access(
 
 /// A coherence-rich script exercising every protocol path: clean remote
 /// reads, dirty-owner interventions (with the off-path sharing
-/// writeback), demand-write invalidation rounds, and ownership upgrades
-/// with sharers. Lines are homed at node 0; requesters are remote.
-/// Returns each access's outcome in issue order.
+/// writeback), demand-write invalidation rounds, ownership upgrades
+/// with sharers, a read-exclusive of a line dirty in another cache, and
+/// an invalidation round whose sharers include the home. Lines are
+/// homed at node 0. Returns each access's outcome in issue order.
 fn drive_protocol_mix(mem: &mut dyn MemorySystem, spans: &SpanTracer) -> Vec<MemOutcome> {
     let mut t = Time::ZERO;
     let mut step = |mem: &mut dyn MemorySystem, node: u32, line: u64, kind: AccessKind| {
@@ -79,6 +80,15 @@ fn drive_protocol_mix(mem: &mut dyn MemorySystem, spans: &SpanTracer) -> Vec<Mem
         (6, 0x4000, AccessKind::ReadShared),
         (7, 0x4000, AccessKind::ReadShared),
         (6, 0x4000, AccessKind::Upgrade),
+        // Dirty at node 2, then read-exclusive from node 3: the owner
+        // supplies the data and is not also sent an invalidation.
+        (2, 0x5000, AccessKind::ReadExclusive),
+        (3, 0x5000, AccessKind::ReadExclusive),
+        // Shared by the home and node 1, then written by node 2: the
+        // home invalidates its own copy without a network message.
+        (0, 0x6000, AccessKind::ReadShared),
+        (1, 0x6000, AccessKind::ReadShared),
+        (2, 0x6000, AccessKind::ReadExclusive),
     ];
     script
         .into_iter()
@@ -105,7 +115,7 @@ fn sampler_is_deterministic_and_seed_sensitive() {
         b.to_jsonl(),
         "same plan, same drive: the export must be byte-identical"
     );
-    // Different seeds pick different subsets (the drive has 9 demand
+    // Different seeds pick different subsets (the drive has 14 demand
     // transactions; at period 2 a collision of all picks is absurd).
     let keys = |s: &SpanSet| s.txns.iter().map(|t| t.key()).collect::<Vec<_>>();
     let mut distinct = false;
@@ -163,6 +173,29 @@ fn charges_tile_and_reconcile_with_latency_breakdown_exactly() {
         }
         let jsonl = set.to_jsonl();
         validate_jsonl(&jsonl).unwrap_or_else(|e| panic!("{label}: export invalid: {e}"));
+    }
+}
+
+#[test]
+fn numa_walks_the_same_messages_as_flashlite() {
+    // Both models run one coherence walk, so each transaction sends the
+    // same interventions; only the leg names and costs differ.
+    let (fl, _) = trace_protocol_mix(Box::new(flashlite()), SpanPlan::all(7));
+    let (nu, _) = trace_protocol_mix(Box::new(numa()), SpanPlan::all(7));
+    let aligned = fl.align(&nu);
+    assert_eq!(aligned.len(), fl.txns.len(), "period 1 aligns every txn");
+    let count = |t: &SpanTxn, kind: &str| t.spans.iter().filter(|s| s.kind == kind).count();
+    for (ft, nt) in &aligned {
+        let id = format!("{}/{:#x}/{}", ft.kind, ft.line, ft.node);
+        assert_eq!(
+            count(ft, "pp_intervention"),
+            count(nt, "ctrl_intervention"),
+            "{id}: interventions"
+        );
+        assert!(
+            !nt.spans.iter().any(|s| s.kind == "net" && s.start == s.end),
+            "{id}: NUMA sent a message from a node to itself"
+        );
     }
 }
 
